@@ -25,7 +25,7 @@ from pathlib import Path
 from . import scalars as sc
 from .errors import CatalogParseError
 from .exprparse import gen_map, parse_value
-from .ncalg import Algebra, FreePoly, TensorPoly, SCALAR_ALGEBRA
+from .ncalg import Algebra, FreePoly
 
 BLOCK_KINDS = ("algebra", "morphism", "matrix", "element", "pairing")
 
@@ -44,10 +44,10 @@ class Presentation:
 class MorphismSpec:
     name: str
     source: Algebra
-    target: object  # Algebra | (Algebra, Algebra) | SCALAR_ALGEBRA
+    target: tuple  # algebra slots: () scalar, (A,) or (A, B)
     parity: str
     param_map: dict  # name -> Scalar
-    images: dict  # generator name -> FreePoly | TensorPoly
+    images: dict  # generator name -> FreePoly over target
 
 
 @dataclass
@@ -182,6 +182,15 @@ def _check_params(names, block, item):
             )
 
 
+def _one_slot(value, algebra, what, path, line, col):
+    """value as an element of algebra: scalars promote, tensors are refused."""
+    if isinstance(value, sc.Scalar):
+        return FreePoly.unit(algebra, value)
+    if len(value.slots) > 1:
+        raise CatalogParseError(f"{what} cannot be tensors", path, line, col)
+    return value
+
+
 def _build_algebra(block):
     params = ()
     gens = None
@@ -222,27 +231,17 @@ def _build_algebra(block):
         value = parse_value(
             expr, params=pmap, gens=gmap, path=block.path, line=item.line, col_offset=col
         )
-        if isinstance(value, TensorPoly):
-            raise CatalogParseError(
-                "relations cannot be tensors", block.path, item.line, col + 1
-            )
-        if isinstance(value, sc.Scalar):
-            value = FreePoly.unit(algebra, value)
+        value = _one_slot(value, algebra, "relations", block.path, item.line, col + 1)
         relations.append((label, value))
     return Presentation(block.name, algebra, params, relations)
 
 
 def _resolve_target(text, data, block, item):
     parts = [p.strip() for p in text.split("@")]
-    if len(parts) == 1:
-        if parts[0] == "scalar":
-            return SCALAR_ALGEBRA
-        return data.algebra(parts[0], block.path, item.line)
-    if len(parts) == 2:
-        return (
-            data.algebra(parts[0], block.path, item.line),
-            data.algebra(parts[1], block.path, item.line),
-        )
+    if parts == ["scalar"]:
+        return ()
+    if len(parts) <= 2:
+        return tuple(data.algebra(part, block.path, item.line) for part in parts)
     raise CatalogParseError(
         "target must be ALG, ALG @ ALG, or scalar", block.path, item.line, item.rest_col + 1
     )
@@ -286,22 +285,17 @@ def _build_morphism(block, data):
             )
     fields = {"source": source, "target": target}
     _expect_fields(block, fields, ("source", "target"))
-    if isinstance(target, tuple):
-        slots = target
-        gens = {}
-        for alg in target:
-            for name, poly in gen_map(alg).items():
-                if name in gens and gens[name].alg is not alg:
-                    raise CatalogParseError(
-                        f"generator name {name!r} is ambiguous between tensor slots",
-                        block.path,
-                        block.line,
-                        1,
-                    )
-                gens[name] = poly
-    else:
-        slots = None
-        gens = gen_map(target)
+    gens = {}
+    for alg in target:
+        for name, poly in gen_map(alg).items():
+            if name in gens and gens[name].alg is not alg:
+                raise CatalogParseError(
+                    f"generator name {name!r} is ambiguous between tensor slots",
+                    block.path,
+                    block.line,
+                    1,
+                )
+            gens[name] = poly
     pmap = dict(sc.PARAMS)
     images = {}
     for item in image_items:
@@ -317,31 +311,22 @@ def _build_morphism(block, data):
             rhs,
             params=pmap,
             gens=gens,
-            tensor_slots=slots,
+            tensor_slots=target if len(target) == 2 else None,
             path=block.path,
             line=item.line,
             col_offset=col,
         )
-        if slots is not None:
-            if isinstance(value, sc.Scalar):
-                value = TensorPoly(slots[0], slots[1], {((), ()): value})
-            elif isinstance(value, FreePoly):
-                raise CatalogParseError(
-                    "image of a tensor-valued morphism needs '@'",
-                    block.path,
-                    item.line,
-                    col + 1,
-                )
-        else:
-            if isinstance(value, TensorPoly):
-                raise CatalogParseError(
-                    "image of an algebra-valued morphism cannot be a tensor",
-                    block.path,
-                    item.line,
-                    col + 1,
-                )
-            if isinstance(value, sc.Scalar):
-                value = FreePoly.unit(target, value)
+        if isinstance(value, sc.Scalar):
+            value = FreePoly.scalar(target, value)
+        elif value.slots != target:
+            raise CatalogParseError(
+                "image of a tensor-valued morphism needs '@'"
+                if len(target) == 2
+                else "image of an algebra-valued morphism cannot be a tensor",
+                block.path,
+                item.line,
+                col + 1,
+            )
         if gen_name in images:
             raise CatalogParseError(
                 f"duplicate image for {gen_name}", block.path, item.line, item.rest_col + 1
@@ -395,13 +380,9 @@ def _build_matrix(block, data):
         value = parse_value(
             expr, params=pmap, gens=gmap, path=block.path, line=item.line, col_offset=col
         )
-        if isinstance(value, sc.Scalar):
-            value = FreePoly.unit(algebra, value)
-        if isinstance(value, TensorPoly):
-            raise CatalogParseError(
-                "matrix entries cannot be tensors", block.path, item.line, col + 1
-            )
-        entries[(rc[0], rc[1])] = value
+        entries[(rc[0], rc[1])] = _one_slot(
+            value, algebra, "matrix entries", block.path, item.line, col + 1
+        )
     for r in labels:
         for c in labels:
             if (r, c) not in entries:
@@ -433,13 +414,9 @@ def _build_element(block, data):
                 line=item.line,
                 col_offset=item.rest_col,
             )
-            if isinstance(value, sc.Scalar):
-                value = FreePoly.unit(algebra, value)
-            if isinstance(value, TensorPoly):
-                raise CatalogParseError(
-                    "elements cannot be tensors", block.path, item.line, item.rest_col + 1
-                )
-            poly = value
+            poly = _one_slot(
+                value, algebra, "elements", block.path, item.line, item.rest_col + 1
+            )
         else:
             raise CatalogParseError(
                 f"unknown item {item.keyword!r} in element block", block.path, item.line, 1

@@ -62,7 +62,7 @@ def build_arg_parser():
         type=int,
         default=6,
         metavar="N",
-        help="degree bound for rewrite completion (default: 6)",
+        help="degree bound for rewrite completion, at least 1 (default: 6)",
     )
     parser.add_argument(
         "--set",
@@ -89,6 +89,8 @@ def build_arg_parser():
 def main(argv=None):
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if args.max_degree < 1:
+        parser.error(f"argument --max-degree: must be at least 1, got {args.max_degree}")
 
     if args.list:
         width = max(len(name) for name, _ in describe_checks())
@@ -103,11 +105,11 @@ def main(argv=None):
         catalog = Catalog(
             load_catalog(paths), bindings=bindings, max_degree=args.max_degree
         )
+        sink = open(args.out, "w") if args.out else sys.stdout
     except (UnknownCheckId, CatalogParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    sink = open(args.out, "w") if args.out else sys.stdout
     reports = []
     try:
         for check_id in plan:

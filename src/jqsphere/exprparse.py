@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import scalars as sc
 from .errors import AlgebraMismatch, CatalogParseError
-from .ncalg import FreePoly, TensorPoly
+from .ncalg import FreePoly
 
 
 class Token:
@@ -61,6 +61,11 @@ def tokenize(text, path="<expr>", line=1, col_offset=0):
 
 def _is_scalar(v):
     return isinstance(v, sc.Scalar)
+
+
+def _width(v):
+    """Slot count: 0 for a scalar, 1 for a polynomial, 2 for a tensor."""
+    return len(v.slots) if isinstance(v, FreePoly) else 0
 
 
 class _Parser:
@@ -160,14 +165,12 @@ class _Parser:
             self.fail(str(exc), tok)
 
     def promote(self, scalar, like, tok):
-        if isinstance(like, FreePoly):
-            return FreePoly.unit(like.alg, scalar)
-        return TensorPoly(like.lalg, like.ralg, {((), ()): scalar})
+        return FreePoly.scalar(like.slots, scalar)
 
     def combine_mul(self, a, b, tok):
-        if isinstance(a, TensorPoly) and isinstance(b, FreePoly):
+        if _width(a) == 2 and _width(b) == 1:
             self.fail("cannot multiply a tensor by a bare polynomial", tok)
-        if isinstance(b, TensorPoly) and isinstance(a, FreePoly):
+        if _width(a) == 1 and _width(b) == 2:
             self.fail("cannot multiply a bare polynomial by a tensor", tok)
         try:
             return a * b
@@ -176,12 +179,10 @@ class _Parser:
 
     def combine_div(self, a, b, tok):
         if isinstance(b, FreePoly):
-            if b.degree() == 0:
+            if _width(b) == 1 and b.degree() == 0:
                 b = b.constant()
             else:
                 self.fail("can only divide by scalars", tok)
-        if isinstance(b, TensorPoly):
-            self.fail("can only divide by scalars", tok)
         if not b:
             self.fail("division by zero", tok)
         if _is_scalar(a):
@@ -189,7 +190,7 @@ class _Parser:
         return a.scale(sc.ONE / b)
 
     def combine_tensor(self, a, b, tok):
-        if isinstance(a, TensorPoly) or isinstance(b, TensorPoly):
+        if _width(a) == 2 or _width(b) == 2:
             self.fail("tensors of more than two factors are not supported", tok)
         slots = self.tensor_slots
         if _is_scalar(a):
@@ -205,7 +206,7 @@ class _Parser:
                 self.fail(f"left tensor factor must live over {slots[0].id}", tok)
             if b.alg is not slots[1]:
                 self.fail(f"right tensor factor must live over {slots[1].id}", tok)
-        return TensorPoly.of(a, b)
+        return FreePoly.of(a, b)
 
 
 def parse_value(
@@ -217,7 +218,7 @@ def parse_value(
     line=1,
     col_offset=0,
 ):
-    """Parse text into a Scalar, FreePoly or TensorPoly.
+    """Parse text into a Scalar or a FreePoly of one slot, or two for '@'.
 
     params maps names to scalars, gens maps names to generator
     polynomials; gens win on collision.  tensor_slots, when given, is the

@@ -13,14 +13,8 @@ from __future__ import annotations
 from . import scalars as sc
 from .catalog import load_catalog, default_catalog_dir
 from .errors import CatalogParseError, DenominatorVanishes
-from .hopf import GenMorphism, HopfStructure, poly_normalizer, tensor_normalizer
-from .ncalg import (
-    SCALAR_ALGEBRA,
-    FreePoly,
-    TensorPoly,
-    substitute_poly,
-    substitute_tensor,
-)
+from .hopf import GenMorphism, HopfStructure, tensor_normalizer
+from .ncalg import FreePoly, substitute_poly
 from .pairing import DualPairing
 from .rewrite import complete, deglex
 
@@ -105,6 +99,8 @@ class Catalog:
                 "catalog is missing standard entries: " + ", ".join(missing)
             )
         fun = self.algebra(FUN)
+        if DET_LABEL not in {label for label, _ in self.data.presentations[FUN].relations}:
+            raise CatalogParseError(f"algebra {FUN} has no relation labelled {DET_LABEL!r}")
         labels = self.data.matrices[MATRIX].labels
         for axes, sphere in ((LEFT_AXES, SPHERE_LEFT), (RIGHT_AXES, SPHERE_RIGHT)):
             gens = self.algebra(sphere).gens
@@ -159,28 +155,14 @@ class Catalog:
     # -- morphisms ---------------------------------------------------------
 
     def _normalizer(self, target, bindings):
-        if target is SCALAR_ALGEBRA:
-            return None
-        if isinstance(target, tuple):
-            return tensor_normalizer(
-                self.system(target[0].id, bindings),
-                self.system(target[1].id, bindings),
-            )
-        return poly_normalizer(self.system(target.id, bindings))
+        return tensor_normalizer(*(self.system(alg.id, bindings) for alg in target))
 
     def morphism(self, name, bindings=None):
         b = self._bound(bindings)
         key = (name, _bkey(b))
         if key not in self._morphisms:
             spec = self.data.morphisms[name]
-            images = {}
-            for gname, img in spec.images.items():
-                if not b:
-                    images[gname] = img
-                elif isinstance(img, TensorPoly):
-                    images[gname] = substitute_tensor(img, b)
-                else:
-                    images[gname] = substitute_poly(img, b)
+            images = {g: substitute_poly(img, b) for g, img in spec.images.items()}
             pmap = {n: sc.substitute(v, b) if b else v for n, v in spec.param_map.items()}
             self._morphisms[key] = GenMorphism(
                 name,
@@ -237,9 +219,9 @@ class Catalog:
             for olabel, oname in axes:
                 comp = FreePoly.gen(sphere, oname)
                 if side == "left":
-                    term = TensorPoly.of(entries[(label, olabel)], comp)
+                    term = FreePoly.of(entries[(label, olabel)], comp)
                 else:
-                    term = TensorPoly.of(comp, entries[(olabel, label)])
+                    term = FreePoly.of(comp, entries[(olabel, label)])
                 acc = term if acc is None else acc + term
             images[gname] = acc
         fun = self.algebra(FUN)

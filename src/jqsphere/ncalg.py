@@ -1,16 +1,29 @@
-"""Words and free noncommutative polynomials over the exact scalar field.
+"""Words and sparse elements of tensor products of free algebras over the
+exact scalar field.
 
 A word is a tuple of generator indices into its algebra's generator list;
 the list is stored in increasing precedence order, so the index order is
-also the order used by graded-lex comparisons downstream.  Polynomials are
-sparse dicts mapping words to nonzero scalars.  Tensor squares and cubes
-of algebras reuse the same scheme with pairs and triples of words as keys;
-multiplication in a tensor square is componentwise (no braiding).
+also the order used by graded-lex comparisons downstream.
+
+One sparse element type, FreePoly, covers every tensor power the checks
+use.  Its slots are a tuple of algebras, and its terms map keys, one word
+per slot, to nonzero scalars:
+
+- zero slots is a scalar value (what a counit produces);
+- one slot is an element of a free algebra;
+- n slots is an element of A1 (x) ... (x) An, multiplied slot by slot
+  (no braiding).
+
+FreePoly.of is the outer product, the catalog's '@'.  map_slot is the one
+slot map: it applies a word map at one slot and splices the image's slots
+in its place.  Coproducts, counits, coactions, the pairing's actions and
+normal forms all act inside tensors through it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from . import scalars as sc
@@ -60,13 +73,13 @@ class Algebra:
         return f"Algebra({self.id}, gens={'/'.join(self.gens)})"
 
 
-#: algebra with no generators; free polys over it are plain scalars
-SCALAR_ALGEBRA = Algebra("scalar", ())
+def _slot_ids(slots) -> str:
+    return "(x)".join(a.id for a in slots) or "scalar"
 
 
-def _same(a: Algebra, b: Algebra):
-    if a is not b:
-        raise AlgebraMismatch(f"operands over {a.id} and {b.id}")
+def _same(a: FreePoly, b: FreePoly):
+    if a.slots != b.slots:
+        raise AlgebraMismatch(f"operands over {_slot_ids(a.slots)} and {_slot_ids(b.slots)}")
 
 
 def _coeff(value):
@@ -88,68 +101,97 @@ def _merge(into: dict, key, c):
             del into[key]
 
 
+def _products(p: dict, q: dict, join) -> dict:
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            _merge(out, join(k1, k2), c1 * c2)
+    return out
+
+
+def _slotwise(k1, k2):
+    return tuple(map(operator.add, k1, k2))
+
+
 class FreePoly:
-    __slots__ = ("alg", "terms")
+    """Sparse element over a tuple of algebra slots; see the module doc."""
 
-    def __init__(self, alg: Algebra, terms=None):
-        self.alg = alg
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
+    __slots__ = ("slots", "terms")
+
+    def __init__(self, slots: tuple, terms=None):
+        self.slots = slots
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def zero(cls, alg):
-        return cls(alg)
+    def zero(cls, *slots):
+        return cls(slots)
 
     @classmethod
-    def unit(cls, alg, coeff=1):
-        return cls(alg, {(): _coeff(coeff)})
+    def scalar(cls, slots, coeff=sc.ONE):
+        """coeff times the unit of the tensor product of slots."""
+        return cls(slots, {((),) * len(slots): _coeff(coeff)})
+
+    @classmethod
+    def unit(cls, alg, coeff=sc.ONE):
+        return cls.scalar((alg,), coeff)
 
     @classmethod
     def gen(cls, alg, name):
-        return cls(alg, {(alg.index(name),): sc.ONE})
+        return cls((alg,), {((alg.index(name),),): sc.ONE})
 
     @classmethod
-    def from_word(cls, alg, word, coeff=1):
-        return cls(alg, {tuple(word): _coeff(coeff)})
+    def from_word(cls, alg, word, coeff=sc.ONE):
+        return cls((alg,), {(tuple(word),): _coeff(coeff)})
+
+    @classmethod
+    def of(cls, *factors):
+        """Outer product: the factors' slots side by side."""
+        slots, terms = factors[0].slots, factors[0].terms
+        for f in factors[1:]:
+            slots, terms = slots + f.slots, _products(terms, f.terms, operator.add)
+        return cls(slots, terms)
+
+    @property
+    def alg(self) -> Algebra:
+        """The algebra of a one-slot element."""
+        (alg,) = self.slots
+        return alg
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max((sum(map(len, k)) for k in self.terms), default=0)
 
     def constant(self):
-        """Scalar coefficient of the empty word."""
-        return self.terms.get((), sc.ZERO)
+        """Scalar coefficient of the key whose words are all empty."""
+        return self.terms.get(((),) * len(self.slots), sc.ZERO)
 
     def scalar_value(self):
-        """The value of a polynomial over the trivial algebra."""
-        if any(w for w in self.terms):
+        """The value of an element with no nonempty word."""
+        if self.degree():
             raise ValueError("not a scalar-valued polynomial")
         return self.constant()
 
     def __eq__(self, other):
         if not isinstance(other, FreePoly):
             return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
+        return self.slots == other.slots and self.terms == other.terms
 
     __hash__ = None
 
     def __neg__(self):
-        return FreePoly(self.alg, {w: -c for w, c in self.terms.items()})
+        return FreePoly(self.slots, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         other = self._to_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        _same(self.alg, other.alg)
+        _same(self, other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            _merge(out, w, c)
-        return FreePoly(self.alg, out)
+        for k, c in other.terms.items():
+            _merge(out, k, c)
+        return FreePoly(self.slots, out)
 
     __radd__ = __add__
 
@@ -164,12 +206,8 @@ class FreePoly:
 
     def __mul__(self, other):
         if isinstance(other, FreePoly):
-            _same(self.alg, other.alg)
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    _merge(out, w1 + w2, c1 * c2)
-            return FreePoly(self.alg, out)
+            _same(self, other)
+            return FreePoly(self.slots, _products(self.terms, other.terms, _slotwise))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -180,7 +218,7 @@ class FreePoly:
         return self.scale(sc.ONE / _coeff(other))
 
     def __pow__(self, n: int):
-        out = FreePoly.unit(self.alg)
+        out = FreePoly.scalar(self.slots)
         for _ in range(n):
             out = out * self
         return out
@@ -188,35 +226,54 @@ class FreePoly:
     def scale(self, c):
         c = _coeff(c)
         if not c:
-            return FreePoly(self.alg)
-        return FreePoly(self.alg, {w: cc * c for w, cc in self.terms.items()})
+            return FreePoly(self.slots)
+        return FreePoly(self.slots, {k: cc * c for k, cc in self.terms.items()})
+
+    def map_slot(self, i: int, image, slots: tuple) -> FreePoly:
+        """Apply a linear map at slot i.  image sends a word of that slot to
+        an element over slots, whose keys are spliced in the word's place."""
+        out = {}
+        for key, c in self.terms.items():
+            head, tail = key[:i], key[i + 1 :]
+            for ikey, d in image(key[i]).terms.items():
+                _merge(out, head + ikey + tail, c * d)
+        return FreePoly(self.slots[:i] + slots + self.slots[i + 1 :], out)
 
     def _to_poly(self, other):
         if isinstance(other, FreePoly):
             return other
-        if isinstance(other, (int, Fraction)) or isinstance(other, sc.Scalar):
-            return FreePoly.unit(self.alg, other)
+        if isinstance(other, (int, Fraction, sc.Scalar)):
+            return FreePoly.scalar(self.slots, other)
         return NotImplemented
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]), reverse=True)
+        return sorted(
+            self.terms.items(), key=lambda t: (sum(map(len, t[0])), t[0]), reverse=True
+        )
 
     def render(self) -> str:
-        return _render_terms(self.sorted_terms(), lambda w: self.alg.render_word(w))
+        return _render_terms(self.sorted_terms(), self._render_key)
+
+    def _render_key(self, key) -> str:
+        return "@".join(a.render_word(w) for a, w in zip(self.slots, key)) or "1"
 
     def __repr__(self):
-        return f"<{self.alg.id}: {self.render()}>"
+        return f"<{_slot_ids(self.slots)}: {self.render()}>"
 
 
-def _render_terms(sorted_terms, word_str):
+# perfbench/tracing.py binds these names when it wraps the element type
+TensorPoly = Tensor3Poly = FreePoly
+
+
+def _render_terms(sorted_terms, key_str):
     if not sorted_terms:
         return "0"
     out = []
-    for w, c in sorted_terms:
+    for key, c in sorted_terms:
         neg = sc.leading_sign(c) < 0
         mag = -c if neg else c
         cs = sc.render(mag)
-        ws = word_str(w)
+        ws = key_str(key)
         if ws == "1":
             piece = cs if _simple(cs) else f"({cs})"
         elif cs == "1":
@@ -241,29 +298,9 @@ def substitute_poly(p: FreePoly, bindings) -> FreePoly:
     if not bindings:
         return p
     out = {}
-    for w, c in p.terms.items():
-        _merge(out, w, sc.substitute(c, bindings))
-    return FreePoly(p.alg, out)
-
-
-def substitute_tensor(t: TensorPoly, bindings) -> TensorPoly:
-    if not bindings:
-        return t
-    out = {}
-    for key, c in t.terms.items():
-        _merge(out, key, sc.substitute(c, bindings))
-    return TensorPoly(t.lalg, t.ralg, out)
-
-
-def poly_arith(op: str, p: FreePoly, q: FreePoly) -> FreePoly:
-    """Named arithmetic entry point: op in {add, sub, mul}."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown poly op {op!r}")
+    for k, c in p.terms.items():
+        _merge(out, k, sc.substitute(c, bindings))
+    return FreePoly(p.slots, out)
 
 
 def all_words(alg: Algebra, max_degree: int):
@@ -271,166 +308,3 @@ def all_words(alg: Algebra, max_degree: int):
     n = len(alg.gens)
     for d in range(max_degree + 1):
         yield from itertools.product(range(n), repeat=d)
-
-
-class TensorPoly:
-    """Element of A (x) B with componentwise multiplication."""
-
-    __slots__ = ("lalg", "ralg", "terms")
-
-    def __init__(self, lalg: Algebra, ralg: Algebra, terms=None):
-        self.lalg = lalg
-        self.ralg = ralg
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
-
-    @classmethod
-    def zero(cls, lalg, ralg):
-        return cls(lalg, ralg)
-
-    @classmethod
-    def of(cls, p: FreePoly, q: FreePoly):
-        out = {}
-        for w1, c1 in p.terms.items():
-            for w2, c2 in q.terms.items():
-                _merge(out, (w1, w2), c1 * c2)
-        return cls(p.alg, q.alg, out)
-
-    def _check(self, other):
-        if self.lalg is not other.lalg or self.ralg is not other.ralg:
-            raise AlgebraMismatch(
-                f"tensor operands over {self.lalg.id}(x){self.ralg.id} "
-                f"and {other.lalg.id}(x){other.ralg.id}"
-            )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return (
-            self.lalg is other.lalg
-            and self.ralg is other.ralg
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __neg__(self):
-        return TensorPoly(self.lalg, self.ralg, {k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _merge(out, key, c)
-        return TensorPoly(self.lalg, self.ralg, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TensorPoly):
-            self._check(other)
-            out = {}
-            for (l1, r1), c1 in self.terms.items():
-                for (l2, r2), c2 in other.terms.items():
-                    _merge(out, (l1 + l2, r1 + r2), c1 * c2)
-            return TensorPoly(self.lalg, self.ralg, out)
-        return self.scale(other)
-
-    def scale(self, c):
-        c = _coeff(c)
-        if not c:
-            return TensorPoly(self.lalg, self.ralg)
-        return TensorPoly(
-            self.lalg, self.ralg, {k: cc * c for k, cc in self.terms.items()}
-        )
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (len(t[0][0]) + len(t[0][1]), t[0]),
-            reverse=True,
-        )
-
-    def render(self) -> str:
-        return _render_terms(
-            self.sorted_terms(),
-            lambda key: f"{self.lalg.render_word(key[0])}@{self.ralg.render_word(key[1])}",
-        )
-
-    def __repr__(self):
-        return f"<{self.lalg.id}(x){self.ralg.id}: {self.render()}>"
-
-
-class Tensor3Poly:
-    """Element of A (x) B (x) C; just the linear structure, used to compare
-    the two ways of iterating coproducts and coactions."""
-
-    __slots__ = ("algs", "terms")
-
-    def __init__(self, algs, terms=None):
-        self.algs = tuple(algs)
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
-
-    @classmethod
-    def zero(cls, algs):
-        return cls(algs)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3Poly):
-            return NotImplemented
-        return all(a is b for a, b in zip(self.algs, other.algs)) and (
-            self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __neg__(self):
-        return Tensor3Poly(self.algs, {k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        if any(a is not b for a, b in zip(self.algs, other.algs)):
-            raise AlgebraMismatch("tensor cube slot mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _merge(out, key, c)
-        return Tensor3Poly(self.algs, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def add_term(self, key, c):
-        _merge(self.terms, key, c)
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (sum(len(w) for w in t[0]), t[0]),
-            reverse=True,
-        )
-
-    def render(self) -> str:
-        return _render_terms(
-            self.sorted_terms(),
-            lambda key: "@".join(a.render_word(w) for a, w in zip(self.algs, key)),
-        )
-
-    def __repr__(self):
-        slots = "(x)".join(a.id for a in self.algs)
-        return f"<{slots}: {self.render()}>"

@@ -12,7 +12,7 @@ changing results.
 from __future__ import annotations
 
 from . import scalars as sc
-from .ncalg import FreePoly, TensorPoly
+from .ncalg import FreePoly
 from .hopf import HopfStructure
 
 SPLIT_FUN = "split-fun"  # peel generators off the function-algebra word
@@ -100,8 +100,8 @@ class DualPairing:
         un = self.env.system.normal_form(u)
         an = self.fun.system.normal_form(a)
         total = sc.ZERO
-        for uw, cu in un.terms.items():
-            for aw, ca in an.terms.items():
+        for (uw,), cu in un.terms.items():
+            for (aw,), ca in an.terms.items():
                 val = self.pair_words(uw, aw, strategy)
                 if val:
                     total = total + cu * ca * val
@@ -109,25 +109,20 @@ class DualPairing:
 
     # -- module structure on the function side --------------------------
 
+    def _paired(self, u: FreePoly):
+        """The linear form <u, -> on function-side words, valued in scalars."""
+        fun = self.fun.alg
+        return lambda w: FreePoly.scalar((), self.pair(u, FreePoly.from_word(fun, w)))
+
     def left_action(self, u: FreePoly, a: FreePoly) -> FreePoly:
         """u acting from the left: keep a's first tensor leg, pair the second."""
-        t: TensorPoly = self.fun.coproduct(self.fun.system.normal_form(a))
-        out = FreePoly.zero(self.fun.alg)
-        for (wl, wr), c in t.terms.items():
-            val = self.pair(u, FreePoly.from_word(self.fun.alg, wr))
-            if val:
-                out = out + FreePoly.from_word(self.fun.alg, wl, c * val)
-        return self.fun.system.normal_form(out)
+        t = self.fun.coproduct(self.fun.system.normal_form(a))
+        return self.fun.system.normal_form(t.map_slot(1, self._paired(u), ()))
 
     def right_action(self, a: FreePoly, u: FreePoly) -> FreePoly:
         """u acting from the right: pair a's first tensor leg, keep the second."""
-        t: TensorPoly = self.fun.coproduct(self.fun.system.normal_form(a))
-        out = FreePoly.zero(self.fun.alg)
-        for (wl, wr), c in t.terms.items():
-            val = self.pair(u, FreePoly.from_word(self.fun.alg, wl))
-            if val:
-                out = out + FreePoly.from_word(self.fun.alg, wr, c * val)
-        return self.fun.system.normal_form(out)
+        t = self.fun.coproduct(self.fun.system.normal_form(a))
+        return self.fun.system.normal_form(t.map_slot(0, self._paired(u), ()))
 
 
 # -- higher-level checks ------------------------------------------------
@@ -239,7 +234,7 @@ def check_twisted_primitive(dp: DualPairing, element: FreePoly, grouplike: FreeP
     g = nf(grouplike)
     ginv = nf(env.antipode(g))
     bad = []
-    expected = TensorPoly.of(e, g) + TensorPoly.of(ginv, e)
+    expected = FreePoly.of(e, g) + FreePoly.of(ginv, e)
     _diff = env.coproduct(e) - expected
     if not _diff.is_zero():
         bad.append(("coproduct", _diff.render()))

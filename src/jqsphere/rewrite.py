@@ -13,7 +13,7 @@ of arbitrary degree are well defined and unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import scalars as sc
 from .errors import (
@@ -22,43 +22,23 @@ from .errors import (
     NonTerminating,
     NotOrientable,
 )
-from .ncalg import Algebra, FreePoly, Word, all_words, substitute_poly
+from .ncalg import Algebra, FreePoly, Word, all_words
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Graded lexicographic order from a generator precedence.
-
-    By default the precedence is the algebra's own generator order
-    (lowest first); pass an explicit permutation of generator names to
-    experiment with other orientations.
-    """
+    """Graded lexicographic order; the precedence is the algebra's own
+    generator order (lowest first)."""
 
     alg: Algebra
-    precedence: tuple = None
-
-    def __post_init__(self):
-        if self.precedence is not None:
-            names = tuple(self.precedence)
-            if sorted(names) != sorted(self.alg.gens):
-                raise ValueError("precedence must permute the generator names")
-            ranks = [0] * len(names)
-            for rank, name in enumerate(names):
-                ranks[self.alg.index(name)] = rank
-            object.__setattr__(self, "_ranks", tuple(ranks))
-        else:
-            object.__setattr__(self, "_ranks", None)
 
     def key(self, word: Word):
-        r = self._ranks
-        if r is None:
-            return (len(word), word)
-        return (len(word), tuple(r[g] for g in word))
+        return (len(word), word)
 
     def leading(self, p: FreePoly):
         """(word, coeff) of the largest term of a nonzero polynomial."""
-        w = max(p.terms, key=self.key)
-        return w, p.terms[w]
+        key = max(p.terms, key=lambda k: self.key(k[0]))
+        return key[0], p.terms[key]
 
 
 def deglex(alg: Algebra) -> MonomialOrder:
@@ -89,14 +69,14 @@ def orient(order: MonomialOrder, relation: FreePoly, lhs: Word = None) -> Rewrit
     if lhs is None:
         lhs = lead
     elif tuple(lhs) != lead:
-        if tuple(lhs) not in relation.terms:
+        if (tuple(lhs),) not in relation.terms:
             raise NotOrientable(f"suggested lhs {lhs} does not occur in the relation")
         raise NotOrientable(
             f"word {relation.alg.render_word(lead)} exceeds the suggested lhs"
         )
     if not lhs:
         raise NotOrientable("relation is a nonzero constant (inconsistent system)")
-    rest = FreePoly(relation.alg, {w: c for w, c in relation.terms.items() if w != lhs})
+    rest = FreePoly(relation.slots, {k: c for k, c in relation.terms.items() if k != (lhs,)})
     return RewriteRule(tuple(lhs), (-rest).scale(sc.ONE / lc))
 
 
@@ -175,30 +155,25 @@ class RewriteSystem:
                 continue
             pos, rule = hit
             head, tail = w[:pos], w[pos + len(rule.lhs) :]
-            children = [head + u + tail for u in rule.rhs.terms]
+            children = [head + u + tail for (u,) in rule.rhs.terms]
             pending = [u for u in children if u not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            acc = FreePoly.zero(self.alg)
-            for u, c in rule.rhs.terms.items():
-                acc = acc + memo[head + u + tail].scale(c)
-            memo[w] = acc
+            memo[w] = rule.rhs.map_slot(0, lambda u: memo[head + u + tail], (self.alg,))
             stack.pop()
         return memo[word]
 
     def normal_form(self, p: FreePoly) -> FreePoly:
-        if p.alg is not self.alg:
-            raise AlgebraMismatch(f"polynomial over {p.alg.id}, system over {self.alg.id}")
+        if p.slots != (self.alg,):
+            over = "(x)".join(a.id for a in p.slots)
+            raise AlgebraMismatch(f"polynomial over {over}, system over {self.alg.id}")
         if not self.closed and p.degree() > self.completed_through:
             raise DegreeCapExceeded(
                 f"degree {p.degree()} input, system only completed through "
                 f"{self.completed_through} and not closed"
             )
-        out = FreePoly.zero(self.alg)
-        for w, c in p.terms.items():
-            out = out + self.nf_word(w).scale(c)
-        return out
+        return p.map_slot(0, self.nf_word, (self.alg,))
 
     def reduces_to_zero(self, p: FreePoly) -> bool:
         return self.normal_form(p).is_zero()
@@ -217,8 +192,8 @@ class RewriteSystem:
         cur = p
         while True:
             target = None
-            for w, c in sorted(
-                cur.terms.items(), key=lambda t: self.order.key(t[0]), reverse=True
+            for (w,), c in sorted(
+                cur.terms.items(), key=lambda t: self.order.key(t[0][0]), reverse=True
             ):
                 hit = self.find_redex(w)
                 if hit is not None:
@@ -265,9 +240,7 @@ class RewriteSystem:
         tail_r = FreePoly.from_word(self.alg, w[amb.offset + len(right.lhs) :])
         branch_l = left.rhs * tail_l
         branch_r = head * right.rhs * tail_r
-        residual = FreePoly.zero(self.alg)
-        for q, c in (branch_l - branch_r).terms.items():
-            residual = residual + self.nf_word(q).scale(c)
+        residual = (branch_l - branch_r).map_slot(0, self.nf_word, (self.alg,))
         return residual if not residual.is_zero() else None
 
 
@@ -383,17 +356,3 @@ def complete(
         sys.closed = not skipped
         sys.relations = relations
         return sys
-
-
-def specialize(system: RewriteSystem, bindings, max_degree=None) -> RewriteSystem:
-    """Re-complete the original presentation under a parameter binding."""
-    subbed = []
-    for p in system.relations:
-        q = substitute_poly(p, bindings)
-        if not q.is_zero():
-            subbed.append(q)
-    return complete(
-        system.order,
-        subbed,
-        max_degree=max_degree if max_degree is not None else system.completed_through,
-    )

@@ -61,25 +61,6 @@ def is_zero(x) -> bool:
     return not x
 
 
-def scalar_div(a, b):
-    if not b:
-        raise DivisionByZero("division by zero scalar")
-    return a / b
-
-
-def scalar_arith(op: str, a, b):
-    """Named arithmetic entry point: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return scalar_div(a, b)
-    raise ValueError(f"unknown scalar op {op!r}")
-
-
 def _eval_poly(poly, repl):
     """Evaluate a numerator/denominator polynomial under a partial
     assignment {gen index: Scalar}, keeping unassigned generators."""

@@ -7,7 +7,7 @@ from jqsphere import scalars as sc
 from jqsphere.catalog import default_catalog_dir, load_catalog
 from jqsphere.errors import CatalogParseError
 from jqsphere.exprparse import gen_map
-from jqsphere.ncalg import FreePoly, TensorPoly
+from jqsphere.ncalg import FreePoly
 
 MINI = """\
 # a tiny quadratic algebra with one parameter
@@ -121,7 +121,7 @@ def test_morphism_round_trip(tmp_path):
     gm = gen_map(alg)
     assert copy.target == (alg, alg)
     assert copy.parity == "hom"
-    assert copy.images["x"] == TensorPoly.of(gm["x"], gm["x"])
+    assert copy.images["x"] == FreePoly.of(gm["x"], gm["x"])
     flip = data.morphisms["flip"]
     assert flip.parity == "antihom"
     assert flip.param_map == {"h": -sc.h}

@@ -187,6 +187,22 @@ def test_out_file(tmp_path, capsys):
     assert reports[0]["check_id"] == "determinant"
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(capsys, "--out", str(target), "determinant")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "no-such-dir" in err
+    assert "Traceback" not in err
+
+
+def test_max_degree_below_one_is_a_usage_error(capsys):
+    for degree in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            main(["--max-degree", degree, "pbw-funh"])
+        assert info.value.code == 2
+        assert "--max-degree: must be at least 1" in capsys.readouterr().err
+
+
 def test_catalog_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cat"
     bad.write_text("algebra broken\n generators x\n relation x*?\n")
@@ -225,6 +241,13 @@ def test_failing_check_exits_1(tmp_path, capsys):
     assert labels and all(label.startswith("coproduct:") for label in labels)
     values = [value for _, value in report["residuals"]]
     assert all(value != "0" for value in values)
+
+
+def test_catalog_without_det_relation_exits_2(tmp_path, capsys):
+    data = perturbed_data_dir(tmp_path, "relation det :", "relation qdet :", "funh.cat")
+    code, out, err = run_cli(capsys, "--catalog", str(data), "determinant", "scaling-left")
+    assert code == 2 and not out
+    assert "error: " in err and "no relation labelled 'det'" in err
 
 
 def test_inconsistent_catalog_reports_an_error(tmp_path, capsys):

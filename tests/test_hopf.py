@@ -11,7 +11,6 @@ from jqsphere.errors import MissingGeneratorImage
 from jqsphere.hopf import (
     GenMorphism,
     HopfStructure,
-    check_coaction_covariance,
     check_comodule_axioms,
     check_hopf_axioms,
     check_morphism_respects_relations,
@@ -24,7 +23,7 @@ from jqsphere.hopf import (
     poly_normalizer,
     tensor_normalizer,
 )
-from jqsphere.ncalg import SCALAR_ALGEBRA, Algebra, FreePoly, TensorPoly
+from jqsphere.ncalg import Algebra, FreePoly
 from jqsphere.rewrite import complete, deglex
 
 # group algebra of the integers: gi is the inverse of g
@@ -51,15 +50,15 @@ def group_hopf(antipode_images=None):
     tnorm = tensor_normalizer(sys, sys)
     cop = GenMorphism(
         "cop", G, (G, G),
-        {"g": TensorPoly.of(GG, GG), "gi": TensorPoly.of(GI, GI)},
+        {"g": FreePoly.of(GG, GG), "gi": FreePoly.of(GI, GI)},
         normalize=tnorm,
     )
     eps = GenMorphism(
-        "eps", G, SCALAR_ALGEBRA,
-        {"g": FreePoly.unit(SCALAR_ALGEBRA), "gi": FreePoly.unit(SCALAR_ALGEBRA)},
+        "eps", G, (),
+        {"g": FreePoly.scalar(()), "gi": FreePoly.scalar(())},
     )
     anti = GenMorphism(
-        "anti", G, G,
+        "anti", G, (G,),
         antipode_images or {"g": GI, "gi": GG},
         parity="antihom",
         normalize=poly_normalizer(sys),
@@ -71,18 +70,18 @@ def sl2_hopf():
     sys = complete(deglex(SL2), [r for _, r in SL2_RELS], max_degree=6)
     tnorm = tensor_normalizer(sys, sys)
     one = FreePoly.unit(SL2)
-    prim = lambda p: TensorPoly.of(p, one) + TensorPoly.of(one, p)
+    prim = lambda p: FreePoly.of(p, one) + FreePoly.of(one, p)
     cop = GenMorphism(
         "cop", SL2, (SL2, SL2),
         {"E": prim(E), "F": prim(F), "H": prim(H)},
         normalize=tnorm,
     )
     eps = GenMorphism(
-        "eps", SL2, SCALAR_ALGEBRA,
-        {n: FreePoly.zero(SCALAR_ALGEBRA) for n in "EFH"},
+        "eps", SL2, (),
+        {n: FreePoly.zero() for n in "EFH"},
     )
     anti = GenMorphism(
-        "anti", SL2, SL2,
+        "anti", SL2, (SL2,),
         {"E": -E, "F": -F, "H": -H},
         parity="antihom",
         normalize=poly_normalizer(sys),
@@ -94,33 +93,33 @@ def sl2_hopf():
 
 
 def test_hom_extends_multiplicatively():
-    m = GenMorphism("sq", G, G, {"g": GG * GG, "gi": GI})
+    m = GenMorphism("sq", G, (G,), {"g": GG * GG, "gi": GI})
     assert m(GG * GG) == GG * GG * GG * GG
     assert m(GG * GI) == GG * GG * GI
     assert m(FreePoly.unit(G)) == FreePoly.unit(G)
 
 
 def test_antihom_reverses_words():
-    m = GenMorphism("rev", G, G, {"g": GG, "gi": GI}, parity="antihom")
+    m = GenMorphism("rev", G, (G,), {"g": GG, "gi": GI}, parity="antihom")
     assert m(GG * GI) == GI * GG
     assert m(GG * GG * GI) == GI * GG * GG
 
 
 def test_parity_validation():
     with pytest.raises(ValueError, match="parity"):
-        GenMorphism("bad", G, G, {"g": GG, "gi": GI}, parity="both")
+        GenMorphism("bad", G, (G,), {"g": GG, "gi": GI}, parity="both")
 
 
 def test_param_map_applies_to_coefficients():
     W = Algebra("w", ("x",), params=("h",))
     x = FreePoly.gen(W, "x")
-    m = GenMorphism("neg", W, W, {"x": x}, param_map={"h": -sc.h})
+    m = GenMorphism("neg", W, (W,), {"x": x}, param_map={"h": -sc.h})
     assert m(x.scale(sc.h)) == x.scale(-sc.h)
     assert m(x.scale(sc.h**2)) == x.scale(sc.h**2)
 
 
 def test_missing_image_raises():
-    m = GenMorphism("part", G, G, {"g": GG})
+    m = GenMorphism("part", G, (G,), {"g": GG})
     with pytest.raises(MissingGeneratorImage, match="gi"):
         m(GI)
 
@@ -128,7 +127,7 @@ def test_missing_image_raises():
 def test_normalize_keeps_images_reduced():
     sys = gsystem()
     m = GenMorphism(
-        "inv", G, G, {"g": GI, "gi": GG}, normalize=poly_normalizer(sys)
+        "inv", G, (G,), {"g": GI, "gi": GG}, normalize=poly_normalizer(sys)
     )
     img = m(GG * GI * GG)
     assert img == GI
@@ -153,14 +152,14 @@ def test_morphism_respects_relations_weyl_flip():
     rel = y * x - x * y - sc.h
     sys = complete(deglex(W), [rel], max_degree=6)
     swap = GenMorphism(
-        "swap", W, W, {"x": y, "y": x},
+        "swap", W, (W,), {"x": y, "y": x},
         param_map={"h": -sc.h},
         normalize=poly_normalizer(sys),
     )
     assert check_morphism_respects_relations(swap, [("weyl", rel)]) == []
     # without the parameter flip the relation is not preserved
     bad = GenMorphism(
-        "bad", W, W, {"x": y, "y": x}, normalize=poly_normalizer(sys)
+        "bad", W, (W,), {"x": y, "y": x}, normalize=poly_normalizer(sys)
     )
     out = check_morphism_respects_relations(bad, [("weyl", rel)])
     assert [label for label, _ in out] == ["bad:weyl"]
@@ -192,8 +191,8 @@ def test_wrong_coproduct_is_caught():
     skew = GenMorphism(
         "skew", G, (G, G),
         {
-            "g": TensorPoly.of(GG, GG) + TensorPoly.of(FreePoly.unit(G), GG),
-            "gi": TensorPoly.of(GI, GI),
+            "g": FreePoly.of(GG, GG) + FreePoly.of(FreePoly.unit(G), GG),
+            "gi": FreePoly.of(GI, GI),
         },
         normalize=tensor_normalizer(sys, sys),
     )
@@ -201,6 +200,17 @@ def test_wrong_coproduct_is_caught():
     labels = {label for label, _ in check_hopf_axioms(broken, max_degree=1)}
     assert "coassoc:g" in labels
     assert "counit-left:g" in labels
+    # rendering of 2-slot (relation images) and 3-slot (coassociativity)
+    # residuals, pinned verbatim
+    assert check_hopf_axioms(broken, max_degree=1, relations=G_RELS) == [
+        ("skew:inv", "gi@1"),
+        ("skew:vni", "gi@1"),
+        ("coassoc:g", "-g@1@g"),
+        ("counit-left:g", "g"),
+        ("counit-right:g", "1"),
+        ("antipode-left:g", "g"),
+        ("antipode-right:g", "gi"),
+    ]
 
 
 def test_regular_coaction_is_a_comodule():
@@ -214,9 +224,9 @@ def test_regular_coaction_is_a_comodule():
 def test_coaction_covariance_reports_verbatim():
     crooked = GenMorphism(
         "crooked", G, (G, G),
-        {"g": TensorPoly.of(GG, GG), "gi": TensorPoly.of(GI, GG)},
+        {"g": FreePoly.of(GG, GG), "gi": FreePoly.of(GI, GG)},
     )
-    out = check_coaction_covariance(crooked, G_RELS)
+    out = check_morphism_respects_relations(crooked, G_RELS)
     assert [label for label, _ in out] == ["crooked:inv", "crooked:vni"]
     assert all(rendered for _, rendered in out)
 
@@ -225,7 +235,7 @@ def test_broken_comodule_is_caught():
     hopf = group_hopf()
     crooked = GenMorphism(
         "crooked", G, (G, G),
-        {"g": TensorPoly.of(GG, GG), "gi": TensorPoly.of(GG, GI)},
+        {"g": FreePoly.of(GG, GG), "gi": FreePoly.of(GG, GI)},
     )
     # as a left coaction the swap is invisible: both sides regroup g (x) g (x) gi
     assert check_comodule_axioms(crooked, hopf, "left") == []
@@ -234,6 +244,15 @@ def test_broken_comodule_is_caught():
         for label, _ in check_comodule_axioms(crooked, hopf, "right")
     }
     assert "coassoc:gi" in labels
+    # rendering of 3-slot and 2-slot residuals, pinned verbatim
+    assert check_comodule_axioms(crooked, hopf, "right") == [
+        ("coassoc:gi", "g@gi@gi - g@g@gi"),
+        ("counit:gi", "-gi + g"),
+    ]
+    assert check_morphism_respects_relations(crooked, G_RELS) == [
+        ("crooked:inv", "g^2@g*gi - 1@1"),
+        ("crooked:vni", "g^2@gi*g - 1@1"),
+    ]
 
 
 # -- tensor plumbing ----------------------------------------------------
@@ -241,10 +260,10 @@ def test_broken_comodule_is_caught():
 
 def test_expand_and_contract_shapes():
     hopf = group_hopf()
-    t = TensorPoly.of(GG, GI)
+    t = FreePoly.of(GG, GI)
     left = expand_left(hopf.coproduct, t)
     right = expand_right(hopf.coproduct, t)
-    assert left.algs == (G, G, G) and right.algs == (G, G, G)
+    assert left.slots == (G, G, G) and right.slots == (G, G, G)
     assert left.terms != right.terms
     assert contract_left(hopf.counit, t) == GI
     assert contract_right(hopf.counit, t) == GG

@@ -28,7 +28,7 @@ from jqsphere.jordanian import (
     normalize_bindings,
 )
 from jqsphere.hopf import tensor_normalizer
-from jqsphere.ncalg import FreePoly, TensorPoly
+from jqsphere.ncalg import FreePoly
 
 CAT = build_catalog()
 FUNALG = CAT.algebra(FUN)
@@ -173,7 +173,7 @@ def test_matrix_entries_are_quadratic_and_grouplike_spot():
     cop = CAT.hopf(FUN).coproduct
     want = None
     for o in labels:
-        t = TensorPoly.of(entries[("p", o)], entries[(o, "m")])
+        t = FreePoly.of(entries[("p", o)], entries[(o, "m")])
         want = t if want is None else want + t
     got = cop(entries[("p", "m")])
     assert tensor_normalizer(full, full)(got - want).is_zero()
@@ -195,9 +195,9 @@ def test_coaction_images_contract_matrix_axes(side, axes, sphere):
         for olabel, oname in axes:
             comp = FreePoly.gen(alg, oname)
             if side == "left":
-                t = TensorPoly.of(entries[(label, olabel)], comp)
+                t = FreePoly.of(entries[(label, olabel)], comp)
             else:
-                t = TensorPoly.of(comp, entries[(olabel, label)])
+                t = FreePoly.of(comp, entries[(olabel, label)])
             acc = t if acc is None else acc + t
         assert norm(coact(FreePoly.gen(alg, gname)) - acc).is_zero()
 

@@ -1,4 +1,5 @@
-"""Free polynomials, tensor squares, rendering and ring laws."""
+"""Sparse elements over slot tuples: free polynomials, tensors, the slot
+map, rendering and ring laws."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +7,7 @@ from hypothesis import strategies as st
 
 from jqsphere import scalars as sc
 from jqsphere.errors import AlgebraMismatch
-from jqsphere.ncalg import (
-    Algebra,
-    FreePoly,
-    Tensor3Poly,
-    TensorPoly,
-    all_words,
-    poly_arith,
-)
+from jqsphere.ncalg import Algebra, FreePoly, all_words
 
 A = Algebra("A", ("c", "a", "d", "b"), params=("h",))
 B = Algebra("B", ("x", "y"))
@@ -36,7 +30,7 @@ def test_arithmetic_and_noncommutativity():
     a, b = gp("a"), gp("b")
     ab, ba = a * b, b * a
     assert ab != ba
-    assert ab.terms == {A.word("a", "b"): sc.ONE}
+    assert ab.terms == {(A.word("a", "b"),): sc.ONE}
     assert (ab - ab).is_zero()
     p = 2 * a - b * 3 + 1
     assert p.constant() == sc.ONE
@@ -80,7 +74,7 @@ def test_render_free_poly():
 def test_sorted_terms_deglex():
     a, b, c = gp("a"), gp("b"), gp("c")
     p = a + b * c + 1 + c * b
-    words = [w for w, _ in p.sorted_terms()]
+    words = [w for (w,), _ in p.sorted_terms()]
     assert words == [A.word("b", "c"), A.word("c", "b"), A.word("a"), ()]
 
 
@@ -92,8 +86,8 @@ def test_all_words():
 def test_tensor_componentwise_product():
     a, b = gp("a"), gp("b")
     x, y = FreePoly.gen(B, "x"), FreePoly.gen(B, "y")
-    t1 = TensorPoly.of(a, x)
-    t2 = TensorPoly.of(b, y)
+    t1 = FreePoly.of(a, x)
+    t2 = FreePoly.of(b, y)
     prod = t1 * t2
     assert prod.terms == {(A.word("a", "b"), B.word("x", "y")): sc.ONE}
     # no braiding: (a(x)x)(b(x)y) keeps factors in slot order
@@ -103,31 +97,55 @@ def test_tensor_componentwise_product():
 def test_tensor_bilinearity_and_render():
     a, b = gp("a"), gp("b")
     x = FreePoly.gen(B, "x")
-    t = TensorPoly.of(a + 2 * b, x)
-    assert t == TensorPoly.of(a, x) + 2 * TensorPoly.of(b, x)
+    t = FreePoly.of(a + 2 * b, x)
+    assert t == FreePoly.of(a, x) + 2 * FreePoly.of(b, x)
     assert t.render() == "2*b@x + a@x"
-    assert TensorPoly.of(a - a, x).is_zero()
+    assert FreePoly.of(a - a, x).is_zero()
 
 
 def test_tensor_mismatch():
     a = gp("a")
     x = FreePoly.gen(B, "x")
     with pytest.raises(AlgebraMismatch):
-        TensorPoly.of(a, x) + TensorPoly.of(x, a)
+        FreePoly.of(a, x) + FreePoly.of(x, a)
 
 
 def test_tensor3_accumulate():
-    t = Tensor3Poly.zero((A, A, B))
-    t.add_term((A.word("a"), A.word("b"), B.word("x")), sc.ONE)
-    t.add_term((A.word("a"), A.word("b"), B.word("x")), -sc.ONE)
-    assert t.is_zero()
-    t.add_term(((), (), ()), sc.h)
+    a, b, x = gp("a"), gp("b"), FreePoly.gen(B, "x")
+    t = FreePoly.zero(A, A, B) + FreePoly.of(a, b, x)
+    assert t.terms == {(A.word("a"), A.word("b"), B.word("x")): sc.ONE}
+    t = t - FreePoly.of(a, b, x)
+    assert t.is_zero() and t.slots == (A, A, B)
+    t = t + FreePoly.scalar((A, A, B), sc.h)
     assert t.render() == "h*1@1@1"
+
+
+def test_scalar_slots():
+    s = FreePoly.scalar((), sc.h) + 1
+    assert s.slots == () and s.terms == {(): sc.h + 1}
+    assert s.scalar_value() == sc.h + 1
+    assert s.render() == "(h + 1)"
+    with pytest.raises(ValueError):
+        gp("a").scalar_value()
+
+
+def test_map_slot_splices_image_slots():
+    a, b, x, y = gp("a"), gp("b"), FreePoly.gen(B, "x"), FreePoly.gen(B, "y")
+    t = FreePoly.of(a, x) + FreePoly.of(b, y).scale(sc.h)
+    # a word of B goes to word (x) word: one slot becomes two
+    double = t.map_slot(1, lambda w: FreePoly.of(*(FreePoly.from_word(B, w),) * 2), (B, B))
+    assert double == FreePoly.of(a, x, x) + FreePoly.of(b, y, y).scale(sc.h)
+    # x counts 2 and y counts 3: the slot goes away
+    count = {B.word("x"): 2, B.word("y"): 3}
+    contracted = t.map_slot(1, lambda w: FreePoly.scalar((), count[w]), ())
+    assert contracted == 2 * a + (3 * sc.h) * b
 
 
 words_st = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 coeffs = st.sampled_from([sc.ONE, -sc.ONE, sc.h, sc.k - 1, sc.rational(3, 2)])
-polys = st.dictionaries(words_st, coeffs, max_size=4).map(lambda d: FreePoly(A, d))
+polys = st.dictionaries(words_st, coeffs, max_size=4).map(
+    lambda d: FreePoly((A,), {(w,): c for w, c in d.items()})
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,12 +157,12 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert (p + q) * r == p * r + q * r
     assert p - p == FreePoly.zero(A)
-    assert poly_arith("mul", FreePoly.unit(A), p) == p
+    assert FreePoly.unit(A) * p == p
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys, polys)
 def test_tensor_of_is_bilinear(p, q):
     u = FreePoly.unit(A)
-    assert TensorPoly.of(p + u, q) == TensorPoly.of(p, q) + TensorPoly.of(u, q)
-    assert TensorPoly.of(p, q).scale(2) == TensorPoly.of(2 * p, q)
+    assert FreePoly.of(p + u, q) == FreePoly.of(p, q) + FreePoly.of(u, q)
+    assert FreePoly.of(p, q).scale(2) == FreePoly.of(2 * p, q)

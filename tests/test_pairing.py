@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jqsphere import scalars as sc
 from jqsphere.hopf import HopfStructure
 from jqsphere.jordanian import build_catalog
-from jqsphere.ncalg import FreePoly, TensorPoly
+from jqsphere.ncalg import FreePoly
 from jqsphere.pairing import (
     SPLIT_ENV,
     SPLIT_FUN,
@@ -227,5 +227,5 @@ def _fat_coproduct(env):
     images = {}
     for i, name in enumerate(alg.gens):
         p = FreePoly.from_word(alg, (i,))
-        images[name] = TensorPoly.of(p * p, FreePoly.unit(alg))
+        images[name] = FreePoly.of(p * p, FreePoly.unit(alg))
     return GenMorphism("fat", alg, (alg, alg), images)

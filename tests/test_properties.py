@@ -125,7 +125,7 @@ def test_scalar_substitution_is_a_homomorphism(x, y, hval):
 def test_normal_form_is_idempotent(p):
     n = FULL.normal_form(p)
     assert FULL.normal_form(n) == n
-    assert all(FULL.is_normal(w) for w in n.terms)
+    assert all(FULL.is_normal(w) for (w,) in n.terms)
 
 
 @opts("normal_form_is_linear")
