@@ -661,8 +661,13 @@ def run_check(cat, check_id):
     try:
         residuals, parameters = fn(cat)
         status = "pass" if not residuals else "fail"
-    except JQSphereError as exc:
-        residuals = [("error", str(exc))]
+    except Exception as exc:
+        # a check is a boundary: one that crashes on a user catalog must
+        # not abort the checks after it
+        if isinstance(exc, JQSphereError):
+            residuals = [("error", str(exc))]
+        else:
+            residuals = [("error", f"{type(exc).__name__}: {exc}")]
         parameters = cat.describe(cat.bindings)
         status = "error"
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -24,7 +24,7 @@ computed independently.
 from __future__ import annotations
 
 from .errors import MissingGeneratorImage
-from .ncalg import Algebra, FreePoly, substitute_poly
+from .ncalg import Algebra, FreePoly, _merge, substitute_poly
 
 
 def poly_normalizer(system):
@@ -158,11 +158,12 @@ def contract_right(counit: GenMorphism, t: FreePoly) -> FreePoly:
 def convolve(mleft: GenMorphism, mright: GenMorphism, t: FreePoly, system) -> FreePoly:
     """Multiply the two morphism images of a tensor's factors: the
     antipode axiom's m(S (x) id) composed with a coproduct value."""
-    out = FreePoly.zero(system.alg)
+    out = {}
     for (wl, wr), c in t.terms.items():
         piece = mleft.word_image(wl) * mright.word_image(wr)
-        out = out + system.normal_form(piece).scale(c)
-    return out
+        for key, d in system.normal_form(piece).terms.items():
+            _merge(out, key, c * d)
+    return FreePoly((system.alg,), out)
 
 
 # -- axiom checks -------------------------------------------------------

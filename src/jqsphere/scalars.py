@@ -2,14 +2,29 @@
 deformation and sphere parameters.
 
 Every coefficient in the package is an element of Q(h, k, rho, kprime,
-rhoprime, beta, betaprime, s), represented as a reduced fraction of
-multivariate polynomials with exact rational coefficients.  Equality is
-structural, zero tests are decidable, and nothing is ever evaluated in
-floating point.
+rhoprime, beta, betaprime, s).  Equality is structural, zero tests are
+decidable, and nothing is ever evaluated in floating point.
 
-The representation is sympy's sparse FracElement; this module pins the
-parameter order, the canonical rendering, and the substitution semantics
-so the rest of the package never touches sympy directly.
+Almost every coefficient the checks meet is a polynomial: completed
+rules, coproducts and matrix entries all live in QQ[h, ..., s].  True
+denominators come only from a few verbatim elements (k/rho, 1/(2h)) and
+from user bindings such as k=1/rho.  So a Scalar is polynomial-first and
+holds exactly one canonical payload:
+
+- a sympy PolyElement of QQ[h, ..., s] whenever the value is a
+  polynomial;
+- a sympy FracElement of the field, reduced by the field's own
+  cancellation, only when its denominator is not a constant.
+
+Two polynomials add, subtract and multiply in the ring, with no gcd.
+Division by a constant divides the coefficients.  Any other division,
+and any operation with a fraction operand, runs in the field, and the
+result is demoted to a polynomial again as soon as cancellation leaves a
+constant denominator (k/rho * rho is the polynomial k).  Because every
+value has one payload, ==, hash and render need no special cases.
+
+This module pins the parameter order, the canonical rendering, and the
+substitution semantics so the rest of the package never touches sympy.
 """
 
 from __future__ import annotations
@@ -18,43 +33,210 @@ from fractions import Fraction
 
 from sympy import QQ
 from sympy.polys.fields import field
+from sympy.polys.rings import PolyElement
 
 from .errors import DenominatorVanishes, DivisionByZero
 
 #: parameter symbols, in the order used for graded-lex rendering
 PARAM_NAMES = ("h", "k", "rho", "kprime", "rhoprime", "beta", "betaprime", "s")
 
-FIELD, h, k, rho, kprime, rhoprime, beta, betaprime, s = field(
-    " ".join(PARAM_NAMES), QQ
-)
+FIELD = field(" ".join(PARAM_NAMES), QQ)[0]
+RING = FIELD.ring
+_ZERO_MONOM = RING.zero_monom
+
+
+class Scalar:
+    """An element of the parameter field; see the module doc.
+
+    _v is the canonical payload: a PolyElement of RING, or a FracElement
+    of FIELD whose denominator is not constant.  Payloads are never
+    mutated, so scalars may share them.
+    """
+
+    __slots__ = ("_v",)
+
+    def __init__(self, v):
+        self._v = v
+
+    def __add__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _add(self._v, b)
+
+    def __radd__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _add(b, self._v)
+
+    def __sub__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _sub(self._v, b)
+
+    def __rsub__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _sub(b, self._v)
+
+    def __neg__(self):
+        return Scalar(-self._v)
+
+    def __mul__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _mul(self._v, b)
+
+    def __rmul__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _mul(b, self._v)
+
+    def __truediv__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _div(self._v, b)
+
+    def __rtruediv__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        return _div(b, self._v)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return _div(RING.one, (self**-n)._v)
+        v = self._v
+        if type(v) is PolyElement:
+            return Scalar(v**n)
+        return _demote(v**n)
+
+    def __eq__(self, other):
+        b = _payload(other)
+        if b is None:
+            return NotImplemented
+        a = self._v
+        return type(a) is type(b) and a == b
+
+    def __hash__(self):
+        return hash(self._v)
+
+    def __bool__(self):
+        return bool(self._v)
+
+    def __repr__(self):
+        return f"Scalar({render(self)})"
+
+
+def _payload(value):
+    """The payload of a Scalar, int or Fraction operand; None otherwise."""
+    if type(value) is Scalar:
+        return value._v
+    if isinstance(value, (int, Fraction)):
+        return ensure_scalar(value)._v
+    return None
+
+
+def _demote(f):
+    """Wrap a field element, as a polynomial when its denominator is a
+    constant.  The field keeps fractions reduced, with a positive
+    integer constant when the denominator is one."""
+    den = f.denom
+    if den.is_ground:
+        return Scalar(f.numer.quo_ground(den.LC))
+    return Scalar(f)
+
+
+# Payload arithmetic.  A polynomial meeting a fraction is lifted by the
+# fraction's own operator, which takes elements of its ring as fractions
+# over one; a PolyElement is never asked to combine with a FracElement,
+# since its fallback builds and discards a coercion error message.
+
+def _add(a, b):
+    if type(a) is PolyElement:
+        if type(b) is PolyElement:
+            return Scalar(a + b)
+        a, b = b, a
+    return _demote(a + b)
+
+
+def _sub(a, b):
+    if type(b) is PolyElement:
+        if type(a) is PolyElement:
+            return Scalar(a - b)
+        return _demote(a - b)
+    return _demote(-b + a)
+
+
+def _constant(p):
+    """The coefficient of a nonzero constant polynomial payload, else None."""
+    if type(p) is PolyElement and len(p) == 1:
+        return p.get(_ZERO_MONOM)
+    return None
+
+
+def _mul(a, b):
+    # Most products in the checks have a constant factor, usually 1: it
+    # only scales the coefficients of the other.
+    c = _constant(b)
+    if c is None:
+        c = _constant(a)
+        if c is not None:
+            a, b = b, a
+    if c is not None:
+        if c == QQ.one:
+            return Scalar(a)
+        if type(a) is PolyElement:
+            return Scalar(a.mul_ground(c))
+    if type(a) is PolyElement:
+        if type(b) is PolyElement:
+            return Scalar(a * b)
+        a, b = b, a
+    return _demote(a * b)
+
+
+def _div(a, b):
+    if not b:
+        raise DivisionByZero("division by the zero scalar")
+    if type(b) is PolyElement:
+        if type(a) is PolyElement:
+            if b.is_ground:
+                return Scalar(a.quo_ground(b.LC))
+            return _demote(FIELD.new(a, b))
+    elif type(a) is PolyElement:
+        return _demote(FIELD.new(a * b.denom, b.numer))
+    return _demote(a / b)
+
 
 #: generator lookup by name
-PARAMS = {name: gen for name, gen in zip(PARAM_NAMES, FIELD.gens)}
+PARAMS = {name: Scalar(gen) for name, gen in zip(PARAM_NAMES, RING.gens)}
+h, k, rho, kprime, rhoprime, beta, betaprime, s = PARAMS.values()
 
-ZERO = FIELD.zero
-ONE = FIELD.one
-
-#: the concrete scalar type (sympy FracElement over this field)
-Scalar = type(ONE)
+ZERO = Scalar(RING.zero)
+ONE = Scalar(RING.one)
 
 
 def ensure_scalar(value):
     """Coerce ints, Fractions and Scalars into the field."""
-    if isinstance(value, Scalar):
-        if value.field is not FIELD:
-            raise ValueError("scalar from a foreign field")
+    if type(value) is Scalar:
         return value
     if isinstance(value, int):
-        return FIELD(value)
+        return Scalar(RING.ground_new(value))
     if isinstance(value, Fraction):
-        return FIELD(value.numerator) / FIELD(value.denominator)
+        return Scalar(RING.ground_new(QQ(value.numerator, value.denominator)))
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
 
 
 def rational(p, q=1):
     if q == 0:
         raise DivisionByZero("rational(p, 0)")
-    return FIELD(p) / FIELD(q)
+    return Scalar(RING.ground_new(QQ(p, q)))
 
 
 def is_zero(x) -> bool:
@@ -62,17 +244,15 @@ def is_zero(x) -> bool:
 
 
 def _eval_poly(poly, repl):
-    """Evaluate a numerator/denominator polynomial under a partial
-    assignment {gen index: Scalar}, keeping unassigned generators."""
+    """Evaluate a polynomial payload under a partial assignment
+    {gen index: Scalar}, keeping unassigned generators."""
     total = ZERO
-    gens = FIELD.gens
-    for monom, coeff in poly.terms():
-        term = ONE * coeff
-        for i, e in enumerate(monom):
+    for monom, coeff in poly.iterterms():
+        kept = tuple(0 if i in repl else e for i, e in enumerate(monom))
+        term = Scalar(RING.term_new(kept, coeff))
+        for i, base in repl.items():
+            e = monom[i]
             if e:
-                base = repl.get(i)
-                if base is None:
-                    base = gens[i]
                 term = term * base**e
         total = total + term
     return total
@@ -91,8 +271,11 @@ def substitute(x, bindings):
         if name not in PARAMS:
             raise ValueError(f"unknown parameter {name!r}")
         repl[PARAM_NAMES.index(name)] = ensure_scalar(value)
-    num = _eval_poly(x.numer, repl)
-    den = _eval_poly(x.denom, repl)
+    v = x._v
+    if type(v) is PolyElement:
+        return _eval_poly(v, repl)
+    num = _eval_poly(v.numer, repl)
+    den = _eval_poly(v.denom, repl)
     if not den:
         raise DenominatorVanishes(f"denominator {render(x)} vanishes under substitution")
     return num / den
@@ -101,6 +284,11 @@ def substitute(x, bindings):
 def _monom_key(monom):
     # graded lex on the fixed parameter order
     return (sum(monom), monom)
+
+
+def _lead(poly):
+    """Graded-lex leading coefficient of a nonzero polynomial."""
+    return max(poly.iterterms(), key=lambda t: _monom_key(t[0]))[1]
 
 
 def _term_str(monom, coeff):
@@ -130,33 +318,28 @@ def _poly_str(terms):
 
 def leading_sign(x) -> int:
     """Sign of the graded-lex leading coefficient; 0 for the zero scalar."""
-    if not x:
+    v = x._v
+    if not v:
         return 0
-
-    def lead(poly):
-        return max(poly.terms(), key=lambda t: _monom_key(t[0]))[1]
-
-    sign = 1 if lead(x.numer) > 0 else -1
-    if lead(x.denom) < 0:
-        sign = -sign
-    return sign
+    if type(v) is PolyElement:
+        return 1 if _lead(v) > 0 else -1
+    sign = 1 if _lead(v.numer) > 0 else -1
+    return sign if _lead(v.denom) > 0 else -sign
 
 
 def render(x) -> str:
     """Canonical textual form.
 
-    Numerator over denominator with explicit ^ and *; the denominator is
-    omitted when it is 1 and otherwise rendered monic (leading coefficient
-    one under graded lex), compensating in the numerator.
+    A polynomial renders as its terms with explicit ^ and *; a fraction
+    as (numerator)/(denominator), the denominator monic (leading
+    coefficient one under graded lex) and the numerator compensating.
     """
-    if not x:
+    v = x._v
+    if not v:
         return "0"
-    num_terms = list(x.numer.terms())
-    den_terms = list(x.denom.terms())
-    if len(den_terms) == 1 and not any(den_terms[0][0]):
-        c = den_terms[0][1]
-        return _poly_str([(m, k / c) for m, k in num_terms])
-    lead = max(den_terms, key=lambda t: _monom_key(t[0]))[1]
-    num_terms = [(m, c / lead) for m, c in num_terms]
-    den_terms = [(m, c / lead) for m, c in den_terms]
+    if type(v) is PolyElement:
+        return _poly_str(v.iterterms())
+    lead = _lead(v.denom)
+    num_terms = [(m, c / lead) for m, c in v.numer.iterterms()]
+    den_terms = [(m, c / lead) for m, c in v.denom.iterterms()]
     return f"({_poly_str(num_terms)})/({_poly_str(den_terms)})"

@@ -76,6 +76,20 @@ def test_run_check_turns_engine_errors_into_reports():
     assert "vanishes" in report.residuals[0][1]
 
 
+def test_run_check_reports_any_exception_and_the_run_goes_on(cat, monkeypatch):
+    def crashes(cat):
+        raise KeyError("no such entry")
+
+    monkeypatch.setitem(CHECKS, "determinant", crashes)
+    reports = list(run_checks(cat, FAST[:3]))
+    assert [r.check_id for r in reports] == FAST[:3]
+    pbw, det, grouplike = reports
+    assert det.status == "error"
+    assert det.residuals == [("error", "KeyError: 'no such entry'")]
+    assert det.parameters == cat.describe(cat.bindings)
+    assert pbw.status == grouplike.status == "pass"
+
+
 def test_run_checks_streams_in_order(cat):
     ids = [r.check_id for r in run_checks(cat, FAST[:2])]
     assert ids == ["pbw-funh", "determinant"]

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.fields import field
 
 from jqsphere import scalars as sc
 from jqsphere.errors import DenominatorVanishes, DivisionByZero
@@ -128,3 +130,193 @@ def test_substitution_commutes_with_arithmetic(a):
         return
     sa = sc.substitute(a, binding)
     assert lhs == sa * sa + sa
+
+
+# -- polynomial-first payloads ------------------------------------------
+
+# An independent oracle: the same values built with plain sympy field
+# arithmetic, which cancels after every operation.
+ORACLE, *ORACLE_GENS = field(",".join(sc.PARAM_NAMES), QQ)
+SYMBOLS = ("h", "k", "rho")
+
+
+def as_oracle(x):
+    """The oracle field element equal to a scalar, read from its payload."""
+    v = x._v
+    if hasattr(v, "denom"):
+        return ORACLE(v.numer.as_expr()) / ORACLE(v.denom.as_expr())
+    return ORACLE(v.as_expr())
+
+
+def assert_canonical(x):
+    v = x._v
+    if hasattr(v, "denom"):
+        assert not v.denom.is_ground, f"constant denominator kept in {sc.render(x)}"
+
+
+monomials = st.tuples(
+    st.integers(-3, 3).filter(bool),
+    st.integers(1, 2),
+    st.tuples(*[st.integers(0, 2)] * len(SYMBOLS)),
+)
+
+
+@st.composite
+def leaves(draw):
+    """A small polynomial, as (scalar, oracle) built side by side."""
+    x, o = sc.ZERO, ORACLE.zero
+    for num, den, exps in draw(st.lists(monomials, min_size=1, max_size=3)):
+        term, oterm = sc.rational(num, den), ORACLE(QQ(num, den))
+        for name, e in zip(SYMBOLS, exps):
+            term = term * sc.PARAMS[name] ** e
+            oterm = oterm * ORACLE_GENS[sc.PARAM_NAMES.index(name)] ** e
+        x, o = x + term, o + oterm
+    return x, o
+
+
+def combine(children):
+    ops = st.sampled_from(["+", "-", "*", "/"])
+    return st.tuples(ops, children, children)
+
+
+def evaluate(tree):
+    if len(tree) == 2:
+        return tree
+    op, left, right = tree
+    (a, oa), (b, ob) = evaluate(left), evaluate(right)
+    if op == "+":
+        return a + b, oa + ob
+    if op == "-":
+        return a - b, oa - ob
+    if op == "*":
+        return a * b, oa * ob
+    if not ob:
+        with pytest.raises(DivisionByZero):
+            a / b
+        return a, oa
+    return a / b, oa / ob
+
+
+trees = st.recursive(leaves(), combine, max_leaves=5)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(trees)
+def test_arithmetic_matches_a_sympy_field_oracle(tree):
+    x, o = evaluate(tree)
+    assert as_oracle(x) == o
+    assert_canonical(x)
+    # another route to the same value lands on the same payload
+    y = (x + x) - x
+    assert y == x and hash(y) == hash(x) and sc.render(y) == sc.render(x)
+
+
+substitutions = st.dictionaries(
+    st.sampled_from(SYMBOLS),
+    st.one_of(st.integers(-2, 2), trees.map(evaluate)),
+    min_size=1,
+    max_size=2,
+)
+
+
+def oracle_substitute(poly, values):
+    """A numerator or denominator under {generator index: oracle value},
+    evaluated term by term in the oracle field."""
+    total = ORACLE.zero
+    for monom, coeff in poly.terms():
+        term = ORACLE(coeff)
+        for i, e in enumerate(monom):
+            if e:
+                term *= values.get(i, ORACLE_GENS[i]) ** e
+        total += term
+    return total
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(trees, substitutions)
+def test_substitution_matches_a_sympy_field_oracle(tree, bindings):
+    x, o = evaluate(tree)
+    scalar_bindings, values = {}, {}
+    for name, value in bindings.items():
+        i = sc.PARAM_NAMES.index(name)
+        if isinstance(value, int):
+            scalar_bindings[name], values[i] = value, ORACLE(value)
+        else:
+            scalar_bindings[name], values[i] = value
+    num = oracle_substitute(o.numer, values)
+    den = oracle_substitute(o.denom, values)
+    if not den:
+        with pytest.raises(DenominatorVanishes):
+            sc.substitute(x, scalar_bindings)
+        return
+    y = sc.substitute(x, scalar_bindings)
+    assert as_oracle(y) == num / den
+    assert_canonical(y)
+
+
+def test_cancellation_demotes_to_a_polynomial():
+    x = sc.k / sc.rho * sc.rho
+    assert x == sc.k
+    assert hash(x) == hash(sc.k)
+    assert sc.render(x) == sc.render(sc.k) == "k"
+    assert_canonical(x)
+    assert sc.k / sc.rho - sc.k / sc.rho == sc.ZERO
+    assert (sc.h / sc.rho) ** -1 * sc.h == sc.rho
+
+
+def test_exact_polynomial_division_stays_a_polynomial():
+    x = (sc.h**2 - sc.k**2) / (sc.h - sc.k)
+    assert not hasattr(x._v, "denom")
+    assert x == sc.h + sc.k and hash(x) == hash(sc.h + sc.k)
+    y = (2 * sc.h * sc.rho) / (4 * sc.rho)
+    assert not hasattr(y._v, "denom")
+    assert sc.render(y) == "1/2*h"
+
+
+def test_constant_denominators_never_make_a_fraction():
+    for x in (
+        sc.h / 3,
+        sc.ONE / sc.rational(2, 5),
+        (sc.h + sc.k) / (sc.rho * 2) * sc.rho,
+        sc.substitute(sc.k / (sc.h + 1), {"h": 2}),
+        (sc.h / sc.rho) ** 2 * sc.rho**2,
+    ):
+        assert not hasattr(x._v, "denom"), sc.render(x)
+    assert hasattr((sc.k / sc.rho)._v, "denom")
+
+
+# rendered at the commit before polynomial-first payloads, byte for byte
+RENDER_TABLE = [
+    (lambda: sc.h / 3 + sc.k, "1/3*h + k"),
+    (lambda: sc.rational(-1, 2) * sc.h**2 * sc.k + sc.rational(5, 6), "-1/2*h^2*k + 5/6"),
+    (lambda: sc.ensure_scalar(Fraction(-7, 3)), "-7/3"),
+    (lambda: (sc.h + sc.k) / (2 * sc.h), "(1/2*h + 1/2*k)/(h)"),
+    (lambda: sc.k / sc.rho * sc.rho, "k"),
+    (lambda: (sc.h**2 - 1) / (sc.h - 1), "h + 1"),
+    (lambda: sc.ONE / (2 * sc.h), "(1/2)/(h)"),
+    (lambda: -sc.k / sc.rho, "(-k)/(rho)"),
+    (lambda: (3 * sc.h - 6) / (-9 * sc.h * sc.rho), "(-1/3*h + 2/3)/(h*rho)"),
+    (
+        lambda: (sc.h - sc.k) / (sc.rational(2, 3) * sc.k - 4 * sc.h),
+        "(-1/4*h + 1/4*k)/(h - 1/6*k)",
+    ),
+    (
+        lambda: (sc.k / sc.rho) * (1 + sc.rational(3, 2) * sc.h**2) / (2 * sc.h),
+        "(3/4*h^2*k + 1/2*k)/(h*rho)",
+    ),
+    (lambda: sc.k / sc.rho - sc.k / sc.rho, "0"),
+    (lambda: (sc.rho**2 + 2 * sc.k**2) / (-2 * sc.beta), "(-k^2 - 1/2*rho^2)/(beta)"),
+    (lambda: (sc.h + 1) ** 3 / 4, "1/4*h^3 + 3/4*h^2 + 3/4*h + 1/4"),
+    (lambda: sc.substitute(sc.k / (sc.h + 1), {"h": sc.rational(1, 2)}), "2/3*k"),
+    (lambda: sc.substitute(sc.k / sc.rho, {"k": sc.ONE / sc.rho}), "(1)/(rho^2)"),
+    (
+        lambda: sc.substitute(sc.h**2 * sc.k - sc.s, {"k": sc.rational(-1, 3), "s": sc.h}),
+        "-1/3*h^2 - h",
+    ),
+    (lambda: (sc.h / sc.rho) ** -2, "(rho^2)/(h^2)"),
+]
+
+
+@pytest.mark.parametrize("build, text", RENDER_TABLE)
+def test_render_table(build, text):
+    assert sc.render(build()) == text
