@@ -24,7 +24,7 @@ computed independently.
 from __future__ import annotations
 
 from .errors import MissingGeneratorImage
-from .ncalg import Algebra, FreePoly, _merge, substitute_poly
+from .ncalg import Algebra, FreePoly, substitute_poly
 
 
 def poly_normalizer(system):
@@ -158,12 +158,10 @@ def contract_right(counit: GenMorphism, t: FreePoly) -> FreePoly:
 def convolve(mleft: GenMorphism, mright: GenMorphism, t: FreePoly, system) -> FreePoly:
     """Multiply the two morphism images of a tensor's factors: the
     antipode axiom's m(S (x) id) composed with a coproduct value."""
-    out = {}
-    for (wl, wr), c in t.terms.items():
-        piece = mleft.word_image(wl) * mright.word_image(wr)
-        for key, d in system.normal_form(piece).terms.items():
-            _merge(out, key, c * d)
-    return FreePoly((system.alg,), out)
+    pieces = (
+        (c, mleft.word_image(wl) * mright.word_image(wr)) for (wl, wr), c in t.terms.items()
+    )
+    return system.normal_form(FreePoly.combine((system.alg,), pieces))
 
 
 # -- axiom checks -------------------------------------------------------

@@ -151,6 +151,15 @@ class FreePoly:
             slots, terms = slots + f.slots, _products(terms, f.terms, operator.add)
         return cls(slots, terms)
 
+    @classmethod
+    def combine(cls, slots, pairs):
+        """The sum of c * p over (c, p) in pairs, gathered in one dict."""
+        out = {}
+        for c, p in pairs:
+            for k, d in p.terms.items():
+                _merge(out, k, c * d)
+        return cls(slots, out)
+
     @property
     def alg(self) -> Algebra:
         """The algebra of a one-slot element."""

@@ -11,9 +11,6 @@ changing results.
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
-
 from . import scalars as sc
 from .ncalg import FreePoly
 from .hopf import HopfStructure
@@ -22,11 +19,6 @@ SPLIT_FUN = "split-fun"  # peel generators off the function-algebra word
 SPLIT_ENV = "split-env"  # peel generators off the enveloping-algebra word
 
 STRATEGIES = (SPLIT_FUN, SPLIT_ENV)
-
-
-def _normal(system, p: FreePoly) -> FreePoly:
-    """p's normal form, without redoing the work when p already is one."""
-    return p if system.is_normal_form(p) else system.normal_form(p)
 
 
 class DualPairing:
@@ -105,27 +97,22 @@ class DualPairing:
     def pair(self, u: FreePoly, a: FreePoly, strategy=SPLIT_FUN):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        un = _normal(self.env.system, u)
-        an = _normal(self.fun.system, a)
+        un = self.env.system.normal_form(u)
+        an = self.fun.system.normal_form(a)
         total = sc.ZERO
         for (uw,), cu in un.terms.items():
-            # each u coefficient multiplies once, whatever the length of a
-            vals = [
-                ca * val
-                for (aw,), ca in an.terms.items()
-                if (val := self.pair_words(uw, aw, strategy))
-            ]
-            if vals:
-                total = total + cu * reduce(operator.add, vals)
+            for (aw,), ca in an.terms.items():
+                val = self.pair_words(uw, aw, strategy)
+                if val:
+                    total = total + cu * ca * val
         return total
 
     # -- module structure on the function side --------------------------
 
     def _paired(self, u: FreePoly):
         """The linear form <u, -> on function-side words, valued in scalars."""
-        un = self.env.system.normal_form(u)
         fun = self.fun.alg
-        return lambda w: FreePoly.scalar((), self.pair(un, FreePoly.from_word(fun, w)))
+        return lambda w: FreePoly.scalar((), self.pair(u, FreePoly.from_word(fun, w)))
 
     def left_action(self, u: FreePoly, a: FreePoly) -> FreePoly:
         """u acting from the left: keep a's first tensor leg, pair the second."""

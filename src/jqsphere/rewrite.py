@@ -129,15 +129,6 @@ class RewriteSystem:
     def is_normal(self, word: Word) -> bool:
         return self.find_redex(word) is None
 
-    def is_normal_form(self, p: FreePoly) -> bool:
-        """Whether normal_form(p) is p itself: p lies over this system's
-        algebra, within its degree cap, and every word of p is normal."""
-        return (
-            p.slots == (self.alg,)
-            and (self.closed or p.degree() <= self.completed_through)
-            and all(self.find_redex(w) is None for (w,) in p.terms)
-        )
-
     def normal_words(self, max_degree: int):
         for w in all_words(self.alg, max_degree):
             if self.is_normal(w):
@@ -182,6 +173,8 @@ class RewriteSystem:
                 f"degree {p.degree()} input, system only completed through "
                 f"{self.completed_through} and not closed"
             )
+        if all(self.find_redex(w) is None for (w,) in p.terms):
+            return p
         return p.map_slot(0, self.nf_word, (self.alg,))
 
     def reduces_to_zero(self, p: FreePoly) -> bool:

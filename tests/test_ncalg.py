@@ -141,6 +141,15 @@ def test_map_slot_splices_image_slots():
     assert contracted == 2 * a + (3 * sc.h) * b
 
 
+def test_combine_matches_the_sum_and_drops_cancelled_keys():
+    a, b = gp("a"), gp("b")
+    pairs = [(sc.h, a + b), (sc.ONE, b * a), (-sc.h, b), (sc.ZERO, a)]
+    total = FreePoly.combine((A,), pairs)
+    assert total == sum((p.scale(c) for c, p in pairs), FreePoly.zero(A))
+    assert total.terms == {(A.word("a"),): sc.h, (A.word("b", "a"),): sc.ONE}
+    assert FreePoly.combine((A, B), []) == FreePoly.zero(A, B)
+
+
 words_st = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 coeffs = st.sampled_from([sc.ONE, -sc.ONE, sc.h, sc.k - 1, sc.rational(3, 2)])
 polys = st.dictionaries(words_st, coeffs, max_size=4).map(
