@@ -218,7 +218,7 @@ def _build_algebra(block):
         raise CatalogParseError(
             f"algebra {block.name} has no generators line", block.path, block.line, 1
         )
-    algebra = Algebra(block.name, gens, params=params)
+    algebra = Algebra(block.name, gens)
     gmap = gen_map(algebra)
     pmap = _param_scalars(params)
     relations = []

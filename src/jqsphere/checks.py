@@ -23,20 +23,17 @@ from .hopf import (
 from .jordanian import (
     ALGEBRAS,
     DET_LABEL,
-    EMBED_LEFT,
-    EMBED_LEFT_LIMIT,
-    EMBED_RIGHT,
-    EMBED_RIGHT_LIMIT,
     ENV,
     FUN,
-    LEFT_AXES,
-    RIGHT_AXES,
+    LEFT,
+    RIGHT,
+    SIDES,
     SPHERE_ISO,
     SPHERE_ISO_INVERSE,
     SPHERE_LEFT,
     SPHERE_RIGHT,
 )
-from .ncalg import FreePoly, substitute_poly
+from .ncalg import FreePoly, collect, substitute_poly
 from .pairing import (
     SPLIT_ENV,
     SPLIT_FUN,
@@ -65,12 +62,6 @@ class CheckReport:
         }
 
 
-def _expected_dimension(name, degree):
-    if name in (SPHERE_LEFT, SPHERE_RIGHT):
-        return 2 * degree + 1
-    return (degree + 1) ** 2
-
-
 def _count_by_degree(system, max_degree):
     counts = [0] * (max_degree + 1)
     for w in system.normal_words(max_degree):
@@ -89,9 +80,9 @@ def check_confluence_catalog(cat):
             continue
         if not system.verify_certificate():
             residuals.append((f"certificate:{name}", "ambiguity re-check failed"))
-        counts = _count_by_degree(system, 4)
-        for degree, got in enumerate(counts):
-            want = _expected_dimension(name, degree)
+        sphere = name in (SPHERE_LEFT, SPHERE_RIGHT)
+        for degree, got in enumerate(_count_by_degree(system, 4)):
+            want = 2 * degree + 1 if sphere else (degree + 1) ** 2
             if got != want:
                 residuals.append(
                     (f"dimension:{name}:{degree}", f"{got} normal words, expected {want}")
@@ -130,23 +121,17 @@ def check_determinant(cat):
     det = det_rel + FreePoly.unit(alg)
     for gname in alg.gens:
         g = FreePoly.gen(alg, gname)
-        r = full.normal_form(det * g - g * det)
-        if not r.is_zero():
-            residuals.append((f"central:{gname}", r.render()))
+        collect(residuals, f"central:{gname}", full.normal_form(det * g - g * det))
         # strict commutator, then its membership in the determinant ideal
         strict = six.normal_form(det * g - g * det)
         if not full.reduces_to_zero(strict):
             residuals.append((f"central-ideal:{gname}", strict.render()))
-    r = full.normal_form(det) - FreePoly.unit(alg)
-    if not r.is_zero():
-        residuals.append(("normalized", r.render()))
+    collect(residuals, "normalized", full.normal_form(det), FreePoly.unit(alg))
     return residuals, cat.describe(cat.bindings)
 
 
 def _check_hopf(cat, name):
-    residuals = check_hopf_axioms(
-        cat.hopf(name), max_degree=3, relations=cat.relations(name)
-    )
+    residuals = check_hopf_axioms(cat.hopf(name), max_degree=3, relations=cat.relations(name))
     return residuals, cat.describe(cat.bindings)
 
 
@@ -174,13 +159,11 @@ def check_grouplike_j1(cat):
     for r in labels:
         for c in labels:
             lhs = cop(entries[(r, c)])
-            rhs = None
-            for m in labels:
-                term = FreePoly.of(nf(entries[(r, m)]), nf(entries[(m, c)]))
-                rhs = term if rhs is None else rhs + term
-            diff = lhs - rhs
-            if not diff.is_zero():
-                residuals.append((f"coproduct:{r}{c}", diff.render()))
+            rhs = FreePoly.combine(
+                lhs.slots, (FreePoly.of(nf(entries[(r, m)]), nf(entries[(m, c)])) for m in labels)
+            )
+            collect(residuals, f"coproduct:{r}{c}", lhs, rhs)
+            # the counit residual is the value itself, not its distance to want
             val = eps.scalar(entries[(r, c)])
             want = sc.ONE if r == c else sc.ZERO
             if val != want:
@@ -189,40 +172,43 @@ def check_grouplike_j1(cat):
 
 
 def _check_comodule(cat, side):
-    residuals = check_comodule_axioms(cat.coaction(side), cat.hopf(FUN), side)
+    residuals = check_comodule_axioms(cat.coaction(side), cat.hopf(FUN), side.fun_slot)
     return residuals, cat.describe(cat.bindings)
 
 
 def check_comodule_left(cat):
     """Coassociativity and counit laws for the left sphere coaction."""
-    return _check_comodule(cat, "left")
+    return _check_comodule(cat, LEFT)
 
 
 def check_comodule_right(cat):
     """Coassociativity and counit laws for the right sphere coaction."""
-    return _check_comodule(cat, "right")
+    return _check_comodule(cat, RIGHT)
 
 
-def _check_coaction(cat, side, sphere):
-    residuals = check_morphism_respects_relations(cat.coaction(side), cat.relations(sphere))
+def _check_coaction(cat, side):
+    residuals = check_morphism_respects_relations(
+        cat.coaction(side), cat.relations(side.sphere)
+    )
     return residuals, cat.describe(cat.bindings)
 
 
 def check_coaction_left(cat):
     """The left coaction preserves all four left sphere relations; any
     nonzero residual is reported verbatim."""
-    return _check_coaction(cat, "left", SPHERE_LEFT)
+    return _check_coaction(cat, LEFT)
 
 
 def check_coaction_right(cat):
     """The right coaction preserves all four right sphere relations; any
     nonzero residual is reported verbatim."""
-    return _check_coaction(cat, "right", SPHERE_RIGHT)
+    return _check_coaction(cat, RIGHT)
 
 
-def _check_scaling(cat, sphere, kname, bname):
+def _check_scaling(cat, side):
+    kname, bname = side.shift, side.radius
     eff = cat.effective(without=(kname, bname, "s"))
-    alg = cat.algebra(sphere)
+    alg = cat.algebra(side.sphere)
     s = sc.PARAMS["s"]
     shrink = GenMorphism(
         "shrink",
@@ -232,55 +218,44 @@ def _check_scaling(cat, sphere, kname, bname):
     )
     rescale = {kname: s * sc.PARAMS[kname], bname: s * s * sc.PARAMS[bname]}
     residuals = []
-    for label, rel in cat.relations(sphere, eff):
-        lhs = shrink(rel).scale(s * s)
-        rhs = substitute_poly(rel, rescale)
-        if lhs != rhs:
-            residuals.append((label, (lhs - rhs).render()))
+    for label, rel in cat.relations(side.sphere, eff):
+        collect(residuals, label, shrink(rel).scale(s * s), substitute_poly(rel, rescale))
     return residuals, cat.describe(eff)
 
 
 def check_scaling_left(cat):
     """Shrinking the left sphere generators by s turns its relations
     into the relations at shift s*k and radius s^2*beta, exactly."""
-    return _check_scaling(cat, SPHERE_LEFT, "k", "beta")
+    return _check_scaling(cat, LEFT)
 
 
 def check_scaling_right(cat):
     """Shrinking the right sphere generators by s turns its relations
     into the relations at shift s*kprime and radius s^2*betaprime."""
-    return _check_scaling(cat, SPHERE_RIGHT, "kprime", "betaprime")
+    return _check_scaling(cat, RIGHT)
 
 
 def _beta_constraint(side):
-    if side == "left":
-        return sc.PARAMS["rho"] ** 2 + 2 * sc.PARAMS["k"] ** 2
-    return (
-        sc.PARAMS["rhoprime"] ** 2
-        + 2 * (sc.ONE - 2 * sc.PARAMS["h"] ** 2) * sc.PARAMS["kprime"] ** 2
-    )
+    """scale^2 + 2 shift^2, the shift of the right family twisted by 1 - 2 h^2."""
+    shift2 = sc.PARAMS[side.shift] ** 2
+    if side is RIGHT:
+        shift2 = (sc.ONE - 2 * sc.PARAMS["h"] ** 2) * shift2
+    return sc.PARAMS[side.scale] ** 2 + 2 * shift2
 
 
-def _check_embedding_beta(cat, side, sphere, emb_name, bname):
+def _check_embedding_beta(cat, side):
+    bname = side.radius
     eff = cat.effective(without=(bname,))
-    emb = cat.morphism(emb_name, eff)
-    fun = cat.algebra(FUN)
+    emb = cat.morphism(side.embed, eff)
     constraint = sc.substitute(_beta_constraint(side), eff)
+    casimir = FreePoly.unit(cat.algebra(FUN), constraint - sc.PARAMS[bname])
     residuals = []
-    for label, rel in cat.relations(sphere, eff):
-        res = emb(rel)
-        if label == "casimir":
-            want = FreePoly.unit(fun, constraint - sc.PARAMS[bname])
-            if res != want:
-                residuals.append((f"iff:{label}", (res - want).render()))
-        elif not res.is_zero():
-            residuals.append((f"iff:{label}", res.render()))
+    for label, rel in cat.relations(side.sphere, eff):
+        collect(residuals, f"iff:{label}", emb(rel), casimir if label == "casimir" else None)
     bound = dict(eff)
     bound[bname] = constraint
-    for label, rel in cat.relations(sphere, bound):
-        res = emb(rel)
-        if not res.is_zero():
-            residuals.append((f"bound:{label}", res.render()))
+    for label, rel in cat.relations(side.sphere, bound):
+        collect(residuals, f"bound:{label}", emb(rel))
     return residuals, cat.describe(eff)
 
 
@@ -288,37 +263,36 @@ def check_embedding_left_beta(cat):
     """The left embedding satisfies the sphere relations exactly when
     the radius equals rho^2 + 2 k^2: the casimir residual is that
     constraint and every other residual vanishes."""
-    return _check_embedding_beta(cat, "left", SPHERE_LEFT, EMBED_LEFT, "beta")
+    return _check_embedding_beta(cat, LEFT)
 
 
 def check_embedding_right_beta(cat):
     """The right embedding satisfies the sphere relations exactly when
     the radius equals rhoprime^2 + 2 (1 - 2 h^2) kprime^2."""
-    return _check_embedding_beta(cat, "right", SPHERE_RIGHT, EMBED_RIGHT, "betaprime")
+    return _check_embedding_beta(cat, RIGHT)
 
 
-def _check_embedding_limit(cat, sphere, emb_name, kname, bname):
-    eff = cat.effective(without=(kname, bname))
-    eff.update({kname: sc.ZERO, bname: sc.ONE})
-    emb = cat.morphism(emb_name, cat.effective(without=(kname, bname)))
+def _check_embedding_limit(cat, side):
+    symbolic = (side.shift, side.radius)
+    eff = cat.effective(without=symbolic)
+    eff.update({side.shift: sc.ZERO, side.radius: sc.ONE})
+    emb = cat.morphism(side.limit, cat.effective(without=symbolic))
     residuals = []
-    for label, rel in cat.relations(sphere, eff):
-        res = emb(rel)
-        if not res.is_zero():
-            residuals.append((label, res.render()))
+    for label, rel in cat.relations(side.sphere, eff):
+        collect(residuals, label, emb(rel))
     return residuals, cat.describe(eff)
 
 
 def check_embedding_limit_left(cat):
     """The scale-free left embedding satisfies the left sphere at shift
     zero and radius one."""
-    return _check_embedding_limit(cat, SPHERE_LEFT, EMBED_LEFT_LIMIT, "k", "beta")
+    return _check_embedding_limit(cat, LEFT)
 
 
 def check_embedding_limit_right(cat):
     """The scale-free right embedding satisfies the right sphere at
     shift zero and radius one."""
-    return _check_embedding_limit(cat, SPHERE_RIGHT, EMBED_RIGHT_LIMIT, "kprime", "betaprime")
+    return _check_embedding_limit(cat, RIGHT)
 
 
 def check_embedding_matrix_form(cat):
@@ -329,64 +303,54 @@ def check_embedding_matrix_form(cat):
     entries = cat.matrix()
     fun = cat.algebra(FUN)
     nf = cat.system(FUN).normal_form
-    vec = {"m": sc.PARAMS["k"], "z": sc.PARAMS["rho"], "p": -sc.PARAMS["k"]}
-    covec = {"m": sc.PARAMS["kprime"], "z": sc.PARAMS["rhoprime"], "p": -sc.PARAMS["kprime"]}
-    cases = (
-        ("left", LEFT_AXES, SPHERE_LEFT, EMBED_LEFT, EMBED_LEFT_LIMIT, vec, True),
-        ("right", RIGHT_AXES, SPHERE_RIGHT, EMBED_RIGHT, EMBED_RIGHT_LIMIT, covec, False),
-    )
-    for side, axes, sphere_name, emb_name, limit_name, weights, by_rows in cases:
-        sphere = cat.algebra(sphere_name)
-        emb = cat.morphism(emb_name)
-        limit = cat.morphism(limit_name)
-        for label, gname in axes:
-            acc = FreePoly.zero(fun)
-            for olabel, _ in axes:
-                entry = entries[(label, olabel)] if by_rows else entries[(olabel, label)]
-                acc = acc + entry.scale(sc.substitute(weights[olabel], cat.bindings))
-            diff = emb(FreePoly.gen(sphere, gname)) - nf(acc)
-            if not diff.is_zero():
-                residuals.append((f"{side}:{gname}", diff.render()))
-            middle = entries[(label, "z")] if by_rows else entries[("z", label)]
-            diff = limit(FreePoly.gen(sphere, gname)) - nf(middle)
-            if not diff.is_zero():
-                residuals.append((f"{side}-limit:{gname}", diff.render()))
+    for side in SIDES:
+        shift, scale = (
+            sc.substitute(sc.PARAMS[n], cat.bindings) for n in (side.shift, side.scale)
+        )
+        weights = {"m": shift, "z": scale, "p": -shift}
+        sphere = cat.algebra(side.sphere)
+        emb = cat.morphism(side.embed)
+        limit = cat.morphism(side.limit)
+        for label, gname in side.axes:
+            acc = FreePoly.combine(
+                (fun,), (side.entry(entries, label, o).scale(weights[o]) for o, _ in side.axes)
+            )
+            x = FreePoly.gen(sphere, gname)
+            collect(residuals, f"{side.name}:{gname}", emb(x), nf(acc))
+            middle = side.entry(entries, label, "z")
+            collect(residuals, f"{side.name}-limit:{gname}", limit(x), nf(middle))
     return residuals, cat.describe(cat.bindings)
 
 
-def _check_containment(cat, side, axes, sphere_name, emb_name):
+def _check_containment(cat, side):
     residuals = []
     entries = cat.matrix()
-    sphere = cat.algebra(sphere_name)
-    emb = cat.morphism(emb_name)
     cop = cat.morphism(f"{FUN}_coproduct")
     nf = cat.system(FUN).normal_form
-    for label, gname in axes:
-        lhs = cop(emb(FreePoly.gen(sphere, gname)))
-        rhs = None
-        for olabel, oname in axes:
-            image = emb(FreePoly.gen(sphere, oname))
-            if side == "left":
-                term = FreePoly.of(nf(entries[(label, olabel)]), image)
-            else:
-                term = FreePoly.of(image, nf(entries[(olabel, label)]))
-            rhs = term if rhs is None else rhs + term
-        diff = lhs - rhs
-        if not diff.is_zero():
-            residuals.append((gname, diff.render()))
+    images = _embedded_generators(cat, side, side.embed)
+    for (label, _), (gname, x) in zip(side.axes, images):
+        lhs = cop(x)
+        rhs = FreePoly.combine(
+            lhs.slots,
+            (
+                side.tensor(nf(side.entry(entries, label, olabel)), image)
+                for (olabel, _), (_, image) in zip(side.axes, images)
+            ),
+        )
+        collect(residuals, gname, lhs, rhs)
     return residuals, cat.describe(cat.bindings)
 
 
 def check_containment_left(cat):
     """Coproducts of embedded left sphere components stay inside
     funh (x) sphere: matrix row tensor embedded components."""
-    return _check_containment(cat, "left", LEFT_AXES, SPHERE_LEFT, EMBED_LEFT)
+    return _check_containment(cat, LEFT)
 
 
 def check_containment_right(cat):
     """Coproducts of embedded right sphere components stay inside
     sphere (x) funh: embedded components tensor matrix column."""
-    return _check_containment(cat, "right", RIGHT_AXES, SPHERE_RIGHT, EMBED_RIGHT)
+    return _check_containment(cat, RIGHT)
 
 
 def check_pi_isomorphism(cat):
@@ -399,25 +363,17 @@ def check_pi_isomorphism(cat):
     right = cat.algebra(SPHERE_RIGHT)
     residuals = []
     for label, rel in cat.relations(SPHERE_LEFT, eff):
-        res = pi(rel)
-        if not res.is_zero():
-            residuals.append((f"forward:{label}", res.render()))
+        collect(residuals, f"forward:{label}", pi(rel))
     for label, rel in cat.relations(SPHERE_RIGHT, eff):
-        res = sigma(rel)
-        if not res.is_zero():
-            residuals.append((f"backward:{label}", res.render()))
+        collect(residuals, f"backward:{label}", sigma(rel))
     nf_left = cat.system(SPHERE_LEFT, eff).normal_form
     nf_right = cat.system(SPHERE_RIGHT, eff).normal_form
     for gname in left.gens:
         x = FreePoly.gen(left, gname)
-        diff = sigma(pi(x)) - nf_left(x)
-        if not diff.is_zero():
-            residuals.append((f"roundtrip-left:{gname}", diff.render()))
+        collect(residuals, f"roundtrip-left:{gname}", sigma(pi(x)), nf_left(x))
     for gname in right.gens:
         y = FreePoly.gen(right, gname)
-        diff = pi(sigma(y)) - nf_right(y)
-        if not diff.is_zero():
-            residuals.append((f"roundtrip-right:{gname}", diff.render()))
+        collect(residuals, f"roundtrip-right:{gname}", pi(sigma(y)), nf_right(y))
     return residuals, cat.describe(eff)
 
 
@@ -433,13 +389,12 @@ def check_duality_axioms(cat):
         [w for w in env_words if len(w) <= 2],
         [w for w in fun_words if len(w) <= 2],
     )
+    fun_labels = {aw: dp.fun.alg.render_word(aw) for aw in fun_words}
     for uw in env_words:
+        prefix = f"strategy:{dp.env.alg.render_word(uw)};"
         for aw in fun_words:
             one = dp.pair_words(uw, aw, SPLIT_FUN)
-            two = dp.pair_words(uw, aw, SPLIT_ENV)
-            if one != two:
-                label = f"strategy:{dp.env.alg.render_word(uw)};{dp.fun.alg.render_word(aw)}"
-                residuals.append((label, sc.render(one - two)))
+            collect(residuals, prefix + fun_labels[aw], one, dp.pair_words(uw, aw, SPLIT_ENV))
     return residuals, cat.describe(cat.bindings)
 
 
@@ -464,18 +419,16 @@ def check_duality_welldefined(cat):
     return residuals, cat.describe(cat.bindings)
 
 
-def _check_primitive(cat, name):
+def _check_primitive(cat, side):
     dp = cat.pairing()
     env = cat.algebra(ENV)
     grouplike = FreePoly.gen(env, "T")
-    cleared = cat.element(f"{name}_cleared")
+    cleared = cat.element(f"{side.element}_cleared")
     residuals = list(check_twisted_primitive(dp, cleared, grouplike))
-    verbatim = cat.element(name, required=False)
+    verbatim = cat.element(side.element, required=False)
     if verbatim is not None:
         hpar = sc.substitute(sc.PARAMS["h"], cat.bindings)
-        diff = cleared - verbatim.scale(2 * hpar)
-        if not diff.is_zero():
-            residuals.append(("cleared-matches-verbatim", diff.render()))
+        collect(residuals, "cleared-matches-verbatim", cleared, verbatim.scale(2 * hpar))
         residuals += [
             (f"verbatim:{label}", value)
             for label, value in check_twisted_primitive(dp, verbatim, grouplike)
@@ -486,45 +439,40 @@ def _check_primitive(cat, name):
 def check_primitive_PL(cat):
     """The left invariance element is twisted primitive for T, in both
     its verbatim and denominator-cleared forms."""
-    return _check_primitive(cat, "PL")
+    return _check_primitive(cat, LEFT)
 
 
 def check_primitive_PR(cat):
     """The right invariance element is twisted primitive for T, in both
     its verbatim and denominator-cleared forms."""
-    return _check_primitive(cat, "PR")
+    return _check_primitive(cat, RIGHT)
 
 
-def _embedded_generators(cat, axes, sphere_name, emb_name):
-    sphere = cat.algebra(sphere_name)
+def _embedded_generators(cat, side, emb_name):
+    sphere = cat.algebra(side.sphere)
     emb = cat.morphism(emb_name)
-    return [(gname, emb(FreePoly.gen(sphere, gname))) for _, gname in axes]
+    return [(gname, emb(FreePoly.gen(sphere, gname))) for _, gname in side.axes]
+
+
+def _check_invariance(cat, side):
+    act = side.action(cat.pairing())
+    element = cat.element(f"{side.element}_cleared")
+    residuals = []
+    for label, x in _embedded_generators(cat, side, side.embed):
+        collect(residuals, label, act(element, x))
+    return residuals, cat.describe(cat.bindings)
 
 
 def check_invariance_PL(cat):
     """The cleared left element annihilates every embedded left sphere
     component under the left action."""
-    dp = cat.pairing()
-    element = cat.element("PL_cleared")
-    residuals = []
-    for label, x in _embedded_generators(cat, LEFT_AXES, SPHERE_LEFT, EMBED_LEFT):
-        r = dp.left_action(element, x)
-        if not r.is_zero():
-            residuals.append((label, r.render()))
-    return residuals, cat.describe(cat.bindings)
+    return _check_invariance(cat, LEFT)
 
 
 def check_invariance_PR(cat):
     """The cleared right element annihilates every embedded right sphere
     component under the right action."""
-    dp = cat.pairing()
-    element = cat.element("PR_cleared")
-    residuals = []
-    for label, y in _embedded_generators(cat, RIGHT_AXES, SPHERE_RIGHT, EMBED_RIGHT):
-        r = dp.right_action(y, element)
-        if not r.is_zero():
-            residuals.append((label, r.render()))
-    return residuals, cat.describe(cat.bindings)
+    return _check_invariance(cat, RIGHT)
 
 
 def check_invariance_products(cat):
@@ -532,24 +480,17 @@ def check_invariance_products(cat):
     components, computed both directly and through the coproduct
     splitting of the invariance element."""
     dp = cat.pairing()
-    residuals = [
-        (f"left:{label}", value)
-        for label, value in check_invariance(
-            dp,
-            cat.element("PL_cleared"),
-            _embedded_generators(cat, LEFT_AXES, SPHERE_LEFT, EMBED_LEFT),
-            "left",
-        )
-    ]
-    residuals += [
-        (f"right:{label}", value)
-        for label, value in check_invariance(
-            dp,
-            cat.element("PR_cleared"),
-            _embedded_generators(cat, RIGHT_AXES, SPHERE_RIGHT, EMBED_RIGHT),
-            "right",
-        )
-    ]
+    residuals = []
+    for side in SIDES:
+        residuals += [
+            (f"{side.name}:{label}", value)
+            for label, value in check_invariance(
+                dp,
+                cat.element(f"{side.element}_cleared"),
+                _embedded_generators(cat, side, side.embed),
+                side.action(dp),
+            )
+        ]
     return residuals, cat.describe(cat.bindings)
 
 
@@ -561,21 +502,16 @@ def check_limit_primitives(cat):
     hpar = sc.substitute(sc.PARAMS["h"], eff)
     expected = FreePoly.gen(env, "H").scale(-2 * hpar)
     residuals = []
-    for name, kname, label in (("PL", "k", "limit-left"), ("PR", "kprime", "limit-right")):
-        cleared = cat.element(f"{name}_cleared", eff)
-        diff = substitute_poly(cleared, {kname: sc.ZERO}) - expected
-        if not diff.is_zero():
-            residuals.append((label, diff.render()))
+    for side in SIDES:
+        cleared = cat.element(f"{side.element}_cleared", eff)
+        at_zero = substitute_poly(cleared, {side.shift: sc.ZERO})
+        collect(residuals, f"limit-{side.name}", at_zero, expected)
     dp = cat.pairing()
     H = FreePoly.gen(env, "H")
-    for label, x in _embedded_generators(cat, LEFT_AXES, SPHERE_LEFT, EMBED_LEFT_LIMIT):
-        r = dp.left_action(H, x)
-        if not r.is_zero():
-            residuals.append((f"H-left:{label}", r.render()))
-    for label, y in _embedded_generators(cat, RIGHT_AXES, SPHERE_RIGHT, EMBED_RIGHT_LIMIT):
-        r = dp.right_action(y, H)
-        if not r.is_zero():
-            residuals.append((f"H-right:{label}", r.render()))
+    for side in SIDES:
+        act = side.action(dp)
+        for label, x in _embedded_generators(cat, side, side.limit):
+            collect(residuals, f"H-{side.name}:{label}", act(H, x))
     return residuals, cat.describe(eff)
 
 
@@ -587,9 +523,7 @@ def check_primitive_distinctness(cat):
     residuals = []
     if diff.is_zero():
         residuals.append(("distinct", "0 (the two elements coincide generically)"))
-    collapsed = substitute_poly(diff, {"k": sc.ZERO, "kprime": sc.ZERO})
-    if not collapsed.is_zero():
-        residuals.append(("collapse", collapsed.render()))
+    collect(residuals, "collapse", substitute_poly(diff, {"k": sc.ZERO, "kprime": sc.ZERO}))
     return residuals, cat.describe(eff)
 
 
@@ -679,8 +613,3 @@ def run_check(cat, check_id):
         parameters=parameters,
     )
 
-
-def run_checks(cat, requested="all"):
-    """Run the requested checks in canonical order, yielding reports."""
-    for check_id in resolve_ids(requested):
-        yield run_check(cat, check_id)

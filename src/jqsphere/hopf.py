@@ -12,23 +12,21 @@ Inside a tensor, a morphism acts through the one slot map of the sparse
 element (FreePoly.map_slot): GenMorphism.at applies it to one slot and
 puts the image's slots in that slot's place.  expand_left/right
 (coproduct or coaction in a leg) and contract_left/right (counit in a
-leg) are named entry points to that one operation.
+leg) are named entry points to that one operation.  The comodule check
+takes the slot of the Hopf algebra in the coaction's tensor: the
+coproduct and counit act at that slot, the coaction again at the other.
 
-Axiom checks return lists of (label, rendered residual) pairs; empty
-means everything reduced to zero.  Nothing is assumed: morphisms are
-checked against the defining relations before their axioms mean much,
-and both composition orders of every coassociativity-type identity are
-computed independently.
+Axiom checks return lists of (label, rendered residual) pairs, gathered
+through ncalg.collect; empty means everything reduced to zero.  Nothing
+is assumed: morphisms are checked against the defining relations before
+their axioms mean much, and both composition orders of every
+coassociativity-type identity are computed independently.
 """
 
 from __future__ import annotations
 
 from .errors import MissingGeneratorImage
-from .ncalg import Algebra, FreePoly, substitute_poly
-
-
-def poly_normalizer(system):
-    return system.normal_form
+from .ncalg import Algebra, FreePoly, collect, substitute_poly
 
 
 def tensor_normalizer(*systems):
@@ -38,7 +36,7 @@ def tensor_normalizer(*systems):
     an open system's degree cap; wider tensors are reduced word by word
     in each slot."""
     if len(systems) == 1:
-        return poly_normalizer(systems[0])
+        return systems[0].normal_form
 
     def norm(t: FreePoly) -> FreePoly:
         for i, system in enumerate(systems):
@@ -159,24 +157,20 @@ def convolve(mleft: GenMorphism, mright: GenMorphism, t: FreePoly, system) -> Fr
     """Multiply the two morphism images of a tensor's factors: the
     antipode axiom's m(S (x) id) composed with a coproduct value."""
     pieces = (
-        (c, mleft.word_image(wl) * mright.word_image(wr)) for (wl, wr), c in t.terms.items()
+        (mleft.word_image(wl) * mright.word_image(wr)).scale(c)
+        for (wl, wr), c in t.terms.items()
     )
     return system.normal_form(FreePoly.combine((system.alg,), pieces))
 
 
 # -- axiom checks -------------------------------------------------------
 
-def _push(residuals, label, poly_like):
-    if not poly_like.is_zero():
-        residuals.append((label, poly_like.render()))
-
-
 def check_morphism_respects_relations(m: GenMorphism, relations) -> list:
     """Images of defining relations must vanish in the target; this is
     what makes a generator-defined map a map of the quotient at all."""
     residuals = []
     for label, rel in relations:
-        _push(residuals, f"{m.name}:{label}", m(rel))
+        collect(residuals, f"{m.name}:{label}", m(rel))
     return residuals
 
 
@@ -188,41 +182,33 @@ def check_hopf_axioms(hopf: HopfStructure, max_degree: int = 3, relations=()) ->
     residuals = []
     for m in (cop, eps, anti):
         residuals.extend(check_morphism_respects_relations(m, relations))
-    ident = identity_morphism(hopf.alg, normalize=poly_normalizer(system))
+    ident = identity_morphism(hopf.alg, normalize=system.normal_form)
     for w in system.normal_words(max_degree):
         word = hopf.alg.render_word(w)
         p = FreePoly.from_word(hopf.alg, w)
         t = cop(p)
-        _push(residuals, f"coassoc:{word}", expand_left(cop, t) - expand_right(cop, t))
-        _push(residuals, f"counit-left:{word}", contract_left(eps, t) - p)
-        _push(residuals, f"counit-right:{word}", contract_right(eps, t) - p)
+        collect(residuals, f"coassoc:{word}", expand_left(cop, t), expand_right(cop, t))
+        collect(residuals, f"counit-left:{word}", contract_left(eps, t), p)
+        collect(residuals, f"counit-right:{word}", contract_right(eps, t), p)
         unit_eps = FreePoly.unit(hopf.alg, eps.scalar(p))
-        _push(residuals, f"antipode-left:{word}", convolve(anti, ident, t, system) - unit_eps)
-        _push(residuals, f"antipode-right:{word}", convolve(ident, anti, t, system) - unit_eps)
+        collect(residuals, f"antipode-left:{word}", convolve(anti, ident, t, system), unit_eps)
+        collect(residuals, f"antipode-right:{word}", convolve(ident, anti, t, system), unit_eps)
     return residuals
 
 
-def check_comodule_axioms(coact: GenMorphism, hopf: HopfStructure, side: str) -> list:
+def check_comodule_axioms(coact: GenMorphism, hopf: HopfStructure, fun_slot: int) -> list:
     """Coaction coassociativity and counit laws, generator by generator.
 
-    side "left": coact maps X -> A (x) X and pairs with (coproduct (x) id);
-    side "right": X -> X (x) A and pairs with (id (x) coproduct).
+    fun_slot is the slot of hopf's algebra A in the coaction's tensor:
+    0 for X -> A (x) X, checked against (coproduct (x) id), and 1 for
+    X -> X (x) A, checked against (id (x) coproduct).
     """
     residuals = []
     src = coact.source
     for i, name in enumerate(src.gens):
         p = FreePoly.from_word(src, (i,))
         t = coact(p)
-        if side == "left":
-            lhs = expand_left(hopf.coproduct, t)
-            rhs = expand_right(coact, t)
-            back = contract_left(hopf.counit, t)
-        elif side == "right":
-            lhs = expand_right(hopf.coproduct, t)
-            rhs = expand_left(coact, t)
-            back = contract_right(hopf.counit, t)
-        else:
-            raise ValueError("side must be left or right")
-        _push(residuals, f"coassoc:{name}", lhs - rhs)
-        _push(residuals, f"counit:{name}", back - p)
+        lhs = hopf.coproduct.at(t, fun_slot)
+        collect(residuals, f"coassoc:{name}", lhs, coact.at(t, 1 - fun_slot))
+        collect(residuals, f"counit:{name}", hopf.counit.at(t, fun_slot), p)
     return residuals

@@ -10,6 +10,8 @@ same algebra both fully bound and with a few parameters kept symbolic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import scalars as sc
 from .catalog import load_catalog, default_catalog_dir
 from .errors import CatalogParseError, DenominatorVanishes
@@ -26,13 +28,65 @@ ALGEBRAS = (FUN, ENV, SPHERE_LEFT, SPHERE_RIGHT)
 
 MATRIX = "monodromy"
 PAIRING = "jordanian_duality"
-EMBED_LEFT = "embed_left"
-EMBED_RIGHT = "embed_right"
-EMBED_LEFT_LIMIT = "embed_left_limit"
-EMBED_RIGHT_LIMIT = "embed_right_limit"
 SPHERE_ISO = "sphere_iso"
 SPHERE_ISO_INVERSE = "sphere_iso_inverse"
 ELEMENTS = ("PL", "PR", "PL_cleared", "PR_cleared")
+DET_LABEL = "det"
+
+
+@dataclass(frozen=True)
+class Side:
+    """One of the two mirror-image sphere families and its catalog names.
+
+    axes pairs each matrix label with the sphere generator of the same
+    index (-1, 0, +1).  fun_slot is the slot of funh in the coaction's
+    tensor: 0 for the left family (funh (x) sphere, corotating by matrix
+    rows), 1 for the right one (sphere (x) funh, by columns).  It is also
+    the tensor leg that the uh action keeps.  Everything that differs
+    between the mirrors beyond names is derived from it here.
+    """
+
+    name: str
+    sphere: str
+    axes: tuple
+    embed: str
+    limit: str
+    shift: str
+    radius: str
+    scale: str
+    element: str
+    fun_slot: int
+
+    def order(self, fun_part, other):
+        """The pair in coaction order: fun_part goes to slot fun_slot."""
+        return (other, fun_part) if self.fun_slot else (fun_part, other)
+
+    def tensor(self, fun_part, other):
+        """fun_part (x) other, fun_part in slot fun_slot."""
+        return FreePoly.of(*self.order(fun_part, other))
+
+    def entry(self, entries, label, other):
+        """Matrix entry of the coaction of axis label on axis other:
+        row label for the left family, column label for the right."""
+        return entries[self.order(label, other)]
+
+    def action(self, dp):
+        """The uh action on funh that this family is invariant under, as
+        act(u, a)."""
+        if self.fun_slot:
+            return lambda u, a: dp.right_action(a, u)
+        return dp.left_action
+
+
+LEFT = Side(
+    "left", SPHERE_LEFT, (("m", "xm"), ("z", "x0"), ("p", "xp")),
+    "embed_left", "embed_left_limit", "k", "beta", "rho", "PL", 0,
+)
+RIGHT = Side(
+    "right", SPHERE_RIGHT, (("m", "ym"), ("z", "y0"), ("p", "yp")),
+    "embed_right", "embed_right_limit", "kprime", "betaprime", "rhoprime", "PR", 1,
+)
+SIDES = (LEFT, RIGHT)
 
 MORPHISMS = (
     f"{FUN}_coproduct",
@@ -41,20 +95,11 @@ MORPHISMS = (
     f"{ENV}_coproduct",
     f"{ENV}_counit",
     f"{ENV}_antipode",
-    EMBED_LEFT,
-    EMBED_RIGHT,
-    EMBED_LEFT_LIMIT,
-    EMBED_RIGHT_LIMIT,
+    *(side.embed for side in SIDES),
+    *(side.limit for side in SIDES),
     SPHERE_ISO,
     SPHERE_ISO_INVERSE,
 )
-
-# Matrix row/column labels paired with the sphere component carrying the
-# same index (-1, 0, +1).  Part of the standard catalog contract.
-LEFT_AXES = (("m", "xm"), ("z", "x0"), ("p", "xp"))
-RIGHT_AXES = (("m", "ym"), ("z", "y0"), ("p", "yp"))
-
-DET_LABEL = "det"
 
 
 def _bkey(bindings):
@@ -102,9 +147,9 @@ class Catalog:
         if DET_LABEL not in {label for label, _ in self.data.presentations[FUN].relations}:
             raise CatalogParseError(f"algebra {FUN} has no relation labelled {DET_LABEL!r}")
         labels = self.data.matrices[MATRIX].labels
-        for axes, sphere in ((LEFT_AXES, SPHERE_LEFT), (RIGHT_AXES, SPHERE_RIGHT)):
-            gens = self.algebra(sphere).gens
-            for label, gname in axes:
+        for side in SIDES:
+            gens = self.algebra(side.sphere).gens
+            for label, gname in side.axes:
                 if label not in labels or gname not in gens:
                     raise CatalogParseError(
                         f"matrix label {label!r} / generator {gname!r} not found"
@@ -199,35 +244,24 @@ class Catalog:
         return self.data.matrices[MATRIX].labels
 
     def coaction(self, side, bindings=None):
-        """Tensor-valued morphism turning a sphere into a funh comodule.
-
-        Left spheres corotate by rows (component goes to the right tensor
-        leg), right spheres by columns (component goes to the left leg).
+        """Tensor-valued morphism turning a side's sphere into a funh
+        comodule: each component goes to the matrix entries of its axis
+        (see Side) tensor the components, with funh in slot side.fun_slot.
         """
         b = self._bound(bindings)
-        key = (side, _bkey(b))
+        key = (side.name, _bkey(b))
         if key in self._coactions:
             return self._coactions[key]
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        axes = LEFT_AXES if side == "left" else RIGHT_AXES
-        sphere = self.algebra(SPHERE_LEFT if side == "left" else SPHERE_RIGHT)
+        sphere = self.algebra(side.sphere)
+        target = side.order(self.algebra(FUN), sphere)
         entries = self.matrix(b)
+        comps = [(olabel, FreePoly.gen(sphere, oname)) for olabel, oname in side.axes]
         images = {}
-        for label, gname in axes:
-            acc = None
-            for olabel, oname in axes:
-                comp = FreePoly.gen(sphere, oname)
-                if side == "left":
-                    term = FreePoly.of(entries[(label, olabel)], comp)
-                else:
-                    term = FreePoly.of(comp, entries[(olabel, label)])
-                acc = term if acc is None else acc + term
-            images[gname] = acc
-        fun = self.algebra(FUN)
-        target = (fun, sphere) if side == "left" else (sphere, fun)
+        for label, gname in side.axes:
+            terms = (side.tensor(side.entry(entries, label, o), x) for o, x in comps)
+            images[gname] = FreePoly.combine(target, terms)
         morph = GenMorphism(
-            f"coaction_{side}",
+            f"coaction_{side.name}",
             sphere,
             target,
             images,

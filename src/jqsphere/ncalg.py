@@ -39,15 +39,14 @@ class Algebra:
     systems built on top.  Generators are listed in increasing precedence.
     """
 
-    __slots__ = ("id", "gens", "params", "_index")
+    __slots__ = ("id", "gens", "_index")
 
-    def __init__(self, id: str, gens, params=()):
+    def __init__(self, id: str, gens):
         gens = tuple(gens)
         if len(set(gens)) != len(gens):
             raise ValueError(f"duplicate generator names in {id}")
         self.id = id
         self.gens = gens
-        self.params = tuple(params)
         self._index = {name: i for i, name in enumerate(gens)}
 
     def index(self, name: str) -> int:
@@ -152,12 +151,12 @@ class FreePoly:
         return cls(slots, terms)
 
     @classmethod
-    def combine(cls, slots, pairs):
-        """The sum of c * p over (c, p) in pairs, gathered in one dict."""
+    def combine(cls, slots, parts):
+        """The sum of parts, all over slots, gathered in one dict."""
         out = {}
-        for c, p in pairs:
+        for p in parts:
             for k, d in p.terms.items():
-                _merge(out, k, c * d)
+                _merge(out, k, d)
         return cls(slots, out)
 
     @property
@@ -300,6 +299,24 @@ def _render_terms(sorted_terms, key_str):
 
 def _simple(rendered: str) -> bool:
     return " " not in rendered and "/" not in rendered
+
+
+def collect(residuals, label, got, want=None):
+    """Append (label, rendered residual) when got is not want.
+
+    got and want are both FreePoly or both scalars; without want, got
+    itself is the residual and must vanish.  The difference is taken
+    only once the two are known to differ.
+    """
+    if want is not None:
+        if got == want:
+            return
+        got = got - want
+    if isinstance(got, FreePoly):
+        if not got.is_zero():
+            residuals.append((label, got.render()))
+    elif got:
+        residuals.append((label, sc.render(got)))
 
 
 def substitute_poly(p: FreePoly, bindings) -> FreePoly:

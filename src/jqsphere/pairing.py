@@ -7,12 +7,18 @@ Both split directions are implemented as separate strategies so their
 agreement can be tested instead of assumed.  Evaluation is memoized on
 word pairs; the cache is pure and can be cleared at any time without
 changing results.
+
+The invariance check takes the action as a function act(u, a), bound to
+left_action or, with its arguments swapped, to right_action.  Checks
+gather their residuals through ncalg.collect.
 """
 
 from __future__ import annotations
 
+import functools
+
 from . import scalars as sc
-from .ncalg import FreePoly
+from .ncalg import FreePoly, collect
 from .hopf import HopfStructure
 
 SPLIT_FUN = "split-fun"  # peel generators off the function-algebra word
@@ -134,29 +140,23 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
     for every identity that failed, with the nonzero difference rendered."""
     bad = []
     env_alg, fun_alg = dp.env.alg, dp.fun.alg
-
-    def upoly(w):
-        return FreePoly.from_word(env_alg, w)
-
-    def apoly(w):
-        return FreePoly.from_word(fun_alg, w)
-
+    upoly = functools.partial(FreePoly.from_word, env_alg)
+    apoly = functools.partial(FreePoly.from_word, fun_alg)
     env_words = list(env_words)
     fun_words = list(fun_words)
+    # labels are rendered once per word, not once per identity checked
+    ew = {w: env_alg.render_word(w) for w in env_words}
+    fw = {w: fun_alg.render_word(w) for w in fun_words}
     short_env = [w for w in env_words if len(w) <= product_depth]
     short_fun = [w for w in fun_words if len(w) <= product_depth]
     for uw in env_words:
         u = upoly(uw)
-        label = env_alg.render_word(uw)
-        diff = dp.pair(u, FreePoly.unit(fun_alg)) - dp.env.counit.scalar(u)
-        if diff:
-            bad.append((f"unit-fun:{label}", sc.render(diff)))
+        got = dp.pair(u, FreePoly.unit(fun_alg))
+        collect(bad, f"unit-fun:{ew[uw]}", got, dp.env.counit.scalar(u))
     for aw in fun_words:
         a = apoly(aw)
-        label = fun_alg.render_word(aw)
-        diff = dp.pair(FreePoly.unit(env_alg), a) - dp.fun.counit.scalar(a)
-        if diff:
-            bad.append((f"unit-env:{label}", sc.render(diff)))
+        got = dp.pair(FreePoly.unit(env_alg), a)
+        collect(bad, f"unit-env:{fw[aw]}", got, dp.fun.counit.scalar(a))
     for uw in short_env:
         for vw in short_env:
             u, v = upoly(uw), upoly(vw)
@@ -166,15 +166,7 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
                 split = sc.ZERO
                 for (a1, a2), c in dp.fun.coproduct(a).terms.items():
                     split = split + c * dp.pair(u, apoly(a1)) * dp.pair(v, apoly(a2))
-                if direct != split:
-                    bad.append(
-                        (
-                            "product-env:"
-                            f"{env_alg.render_word(uw)};{env_alg.render_word(vw)};"
-                            f"{fun_alg.render_word(aw)}",
-                            sc.render(direct - split),
-                        )
-                    )
+                collect(bad, f"product-env:{ew[uw]};{ew[vw]};{fw[aw]}", direct, split)
     for aw in short_fun:
         for bw in short_fun:
             a, b = apoly(aw), apoly(bw)
@@ -184,26 +176,12 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
                 split = sc.ZERO
                 for (u1, u2), c in dp.env.coproduct(u).terms.items():
                     split = split + c * dp.pair(upoly(u1), a) * dp.pair(upoly(u2), b)
-                if direct != split:
-                    bad.append(
-                        (
-                            "product-fun:"
-                            f"{env_alg.render_word(uw)};{fun_alg.render_word(aw)};"
-                            f"{fun_alg.render_word(bw)}",
-                            sc.render(direct - split),
-                        )
-                    )
+                collect(bad, f"product-fun:{ew[uw]};{fw[aw]};{fw[bw]}", direct, split)
     for uw in env_words:
         for aw in fun_words:
             u, a = upoly(uw), apoly(aw)
-            diff = dp.pair(dp.env.antipode(u), a) - dp.pair(u, dp.fun.antipode(a))
-            if diff:
-                bad.append(
-                    (
-                        f"antipode:{env_alg.render_word(uw)};{fun_alg.render_word(aw)}",
-                        sc.render(diff),
-                    )
-                )
+            got = dp.pair(dp.env.antipode(u), a)
+            collect(bad, f"antipode:{ew[uw]};{fw[aw]}", got, dp.pair(u, dp.fun.antipode(a)))
     return bad
 
 
@@ -219,8 +197,7 @@ def check_pairing_annihilates(dp: DualPairing, relations, side, words) -> list:
             else:
                 val = dp.pair(rel, FreePoly.from_word(dp.fun.alg, w))
                 wlabel = dp.fun.alg.render_word(w)
-            if val:
-                bad.append((f"{label};{wlabel}", sc.render(val)))
+            collect(bad, f"{label};{wlabel}", val)
     return bad
 
 
@@ -235,54 +212,31 @@ def check_twisted_primitive(dp: DualPairing, element: FreePoly, grouplike: FreeP
     ginv = nf(env.antipode(g))
     bad = []
     expected = FreePoly.of(e, g) + FreePoly.of(ginv, e)
-    _diff = env.coproduct(e) - expected
-    if not _diff.is_zero():
-        bad.append(("coproduct", _diff.render()))
-    eps = env.counit.scalar(e)
-    if eps:
-        bad.append(("counit", sc.render(eps)))
-    santi = nf(env.antipode(e) + g * e * ginv)
-    if not santi.is_zero():
-        bad.append(("antipode", santi.render()))
+    collect(bad, "coproduct", env.coproduct(e), expected)
+    collect(bad, "counit", env.counit.scalar(e))
+    collect(bad, "antipode", nf(env.antipode(e) + g * e * ginv))
     return bad
 
 
-def check_invariance(dp: DualPairing, element: FreePoly, generators, side) -> list:
+def check_invariance(dp: DualPairing, element: FreePoly, generators, act) -> list:
     """element annihilates each given function-algebra polynomial and all
-    their pairwise products; products are checked twice, directly and by
-    splitting element's coproduct across the two factors."""
+    their pairwise products under the action act(u, a); products are
+    checked twice, directly and by splitting element's coproduct across
+    the two factors."""
     bad = []
-    act = dp.left_action if side == "left" else dp.right_action
-
-    def hit(a):
-        return act(element, a) if side == "left" else act(a, element)
-
     gens = list(generators)
     for label, a in gens:
-        r = hit(a)
-        if not r.is_zero():
-            bad.append((f"gen:{label}", r.render()))
+        collect(bad, f"gen:{label}", act(element, a))
     split = dp.env.coproduct(dp.env.system.normal_form(element))
-    env_alg = dp.env.alg
+    upoly = functools.partial(FreePoly.from_word, dp.env.alg)
     for la, a in gens:
         for lb, b in gens:
-            direct = hit(dp.fun.system.normal_form(a * b))
-            if not direct.is_zero():
-                bad.append((f"product:{la}*{lb}", direct.render()))
-            crossed = FreePoly.zero(dp.fun.alg)
-            for (u1, u2), c in split.terms.items():
-                if side == "left":
-                    part = dp.left_action(
-                        FreePoly.from_word(env_alg, u1), a
-                    ) * dp.left_action(FreePoly.from_word(env_alg, u2), b)
-                else:
-                    part = dp.right_action(
-                        a, FreePoly.from_word(env_alg, u1)
-                    ) * dp.right_action(b, FreePoly.from_word(env_alg, u2))
-                crossed = crossed + part.scale(c)
-            crossed = dp.fun.system.normal_form(crossed)
-            if crossed != direct:
-                bad.append(
-                    (f"product-split:{la}*{lb}", (crossed - direct).render())
-                )
+            direct = act(element, dp.fun.system.normal_form(a * b))
+            collect(bad, f"product:{la}*{lb}", direct)
+            parts = (
+                (act(upoly(u1), a) * act(upoly(u2), b)).scale(c)
+                for (u1, u2), c in split.terms.items()
+            )
+            crossed = dp.fun.system.normal_form(FreePoly.combine((dp.fun.alg,), parts))
+            collect(bad, f"product-split:{la}*{lb}", crossed, direct)
     return bad

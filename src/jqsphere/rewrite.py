@@ -91,7 +91,6 @@ class Ambiguity:
     offset: int
     kind: str  # "overlap" or "inclusion"
     resolved: bool = False
-    residual: str = "0"
 
 
 class RewriteSystem:

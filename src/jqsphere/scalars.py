@@ -110,6 +110,8 @@ class Scalar:
         return _div(b, self._v)
 
     def __pow__(self, n: int):
+        if n == 0:
+            return ONE  # 0**0 is 1, as for Python numbers
         if n < 0:
             return _div(RING.one, (self**-n)._v)
         v = self._v

@@ -16,7 +16,6 @@ from jqsphere.checks import (
     describe_checks,
     resolve_ids,
     run_check,
-    run_checks,
 )
 from jqsphere.cli import main
 from jqsphere.errors import UnknownCheckId
@@ -81,7 +80,7 @@ def test_run_check_reports_any_exception_and_the_run_goes_on(cat, monkeypatch):
         raise KeyError("no such entry")
 
     monkeypatch.setitem(CHECKS, "determinant", crashes)
-    reports = list(run_checks(cat, FAST[:3]))
+    reports = [run_check(cat, check_id) for check_id in resolve_ids(FAST[:3])]
     assert [r.check_id for r in reports] == FAST[:3]
     pbw, det, grouplike = reports
     assert det.status == "error"
@@ -91,7 +90,7 @@ def test_run_check_reports_any_exception_and_the_run_goes_on(cat, monkeypatch):
 
 
 def test_run_checks_streams_in_order(cat):
-    ids = [r.check_id for r in run_checks(cat, FAST[:2])]
+    ids = [run_check(cat, check_id).check_id for check_id in resolve_ids(FAST[1::-1])]
     assert ids == ["pbw-funh", "determinant"]
 
 
@@ -149,6 +148,19 @@ def test_set_accepts_expressions(capsys):
     assert code == 0
     assert "determinant: pass" in out
     assert "beta=2*k^2 + rho^2" in out and "h=1" in out
+
+
+def test_zero_to_the_zero_is_one(capsys):
+    # 0^0 is 1, as for Python numbers, so h=0^0 binds h exactly as h=1
+    reports = []
+    for value in ("0^0", "1"):
+        code, out, err = run_cli(capsys, "--format", "json", "--set", f"h={value}", "determinant")
+        assert code == 0 and not err
+        (report,) = json.loads(out)
+        del report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["status"] == "pass"
 
 
 def test_iff_checks_keep_their_pivot_symbolic(capsys):

@@ -9,8 +9,8 @@ from jqsphere.errors import CatalogParseError
 from jqsphere.exprparse import gen_map, parse_scalar, parse_value, tokenize
 from jqsphere.ncalg import Algebra, FreePoly
 
-A = Algebra("demo", ("x", "y"), params=("h",))
-B = Algebra("other", ("u",), params=())
+A = Algebra("demo", ("x", "y"))
+B = Algebra("other", ("u",))
 GENS = gen_map(A)
 X, Y = GENS["x"], GENS["y"]
 U = FreePoly.gen(B, "u")
@@ -51,6 +51,13 @@ def test_parse_scalar_defaults_to_global_parameters():
     assert v == sc.rho**2 + 2 * sc.k**2
     with pytest.raises(CatalogParseError, match="unknown name 'q'"):
         parse_scalar("q + 1")
+
+
+def test_zero_to_the_zero_is_one():
+    assert parse_scalar("0^0") == sc.ONE
+    assert parse_scalar("h^0") == sc.ONE
+    assert sc.substitute(parse_scalar("h^0"), {"h": sc.ZERO}) == sc.ONE
+    assert sc.ZERO**0 == sc.ONE and (sc.k / sc.rho) ** 0 == sc.ONE
 
 
 def test_parse_scalar_rejects_polynomial_values():

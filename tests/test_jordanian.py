@@ -18,9 +18,9 @@ from jqsphere.jordanian import (
     ELEMENTS,
     ENV,
     FUN,
-    LEFT_AXES,
+    LEFT,
     MORPHISMS,
-    RIGHT_AXES,
+    RIGHT,
     SPHERE_LEFT,
     SPHERE_RIGHT,
     Catalog,
@@ -181,10 +181,10 @@ def test_matrix_entries_are_quadratic_and_grouplike_spot():
 
 @pytest.mark.parametrize(
     "side,axes,sphere",
-    (("left", LEFT_AXES, SPHERE_LEFT), ("right", RIGHT_AXES, SPHERE_RIGHT)),
+    (("left", LEFT.axes, SPHERE_LEFT), ("right", RIGHT.axes, SPHERE_RIGHT)),
 )
 def test_coaction_images_contract_matrix_axes(side, axes, sphere):
-    coact = CAT.coaction(side)
+    coact = CAT.coaction(LEFT if side == "left" else RIGHT)
     entries = CAT.matrix()
     alg = CAT.algebra(sphere)
     lsys = CAT.system(coact.target[0].id)
@@ -202,18 +202,13 @@ def test_coaction_images_contract_matrix_axes(side, axes, sphere):
         assert norm(coact(FreePoly.gen(alg, gname)) - acc).is_zero()
 
 
-def test_coaction_rejects_unknown_side():
-    with pytest.raises(ValueError, match="side"):
-        CAT.coaction("middle")
-
-
 def test_left_embedding_contracts_rows_with_constant_vector():
     emb = CAT.morphism("embed_left")
     entries = CAT.matrix()
     full = CAT.system(FUN)
     weights = {"m": sc.k, "z": sc.rho, "p": -sc.k}
     alg = CAT.algebra(SPHERE_LEFT)
-    for label, gname in LEFT_AXES:
+    for label, gname in LEFT.axes:
         combo = FreePoly.zero(FUNALG)
         for col in ("m", "z", "p"):
             combo = combo + entries[(label, col)].scale(weights[col])
@@ -226,7 +221,7 @@ def test_right_embedding_contracts_columns_with_constant_covector():
     full = CAT.system(FUN)
     weights = {"m": sc.kprime, "z": sc.rhoprime, "p": -sc.kprime}
     alg = CAT.algebra(SPHERE_RIGHT)
-    for label, gname in RIGHT_AXES:
+    for label, gname in RIGHT.axes:
         combo = FreePoly.zero(FUNALG)
         for row in ("m", "z", "p"):
             combo = combo + entries[(row, label)].scale(weights[row])
@@ -238,13 +233,13 @@ def test_limit_embeddings_pick_the_middle_axis():
     full = CAT.system(FUN)
     left = CAT.morphism("embed_left_limit")
     lalg = CAT.algebra(SPHERE_LEFT)
-    for label, gname in LEFT_AXES:
+    for label, gname in LEFT.axes:
         assert left(FreePoly.gen(lalg, gname)) == full.normal_form(
             entries[(label, "z")]
         )
     right = CAT.morphism("embed_right_limit")
     ralg = CAT.algebra(SPHERE_RIGHT)
-    for label, gname in RIGHT_AXES:
+    for label, gname in RIGHT.axes:
         assert right(FreePoly.gen(ralg, gname)) == full.normal_form(
             entries[("z", label)]
         )

@@ -25,3 +25,46 @@ def test_sympy_stays_inside_scalars():
     ]
     assert offenders == []
     assert "sympy" in imported_roots(PACKAGE / "scalars.py")
+
+
+SIDE_NAMES = {"left", "right"}
+
+
+def side_string_comparisons(path):
+    """(line, source) of each ==, != or in test against "left"/"right"."""
+
+    def is_side_literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_side_literal(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and node.value in SIDE_NAMES
+
+    source = path.read_text()
+    hits = []
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            continue
+        if any(is_side_literal(x) for x in [node.left, *node.comparators]):
+            hits.append((node.lineno, ast.get_source_segment(source, node)))
+    return hits
+
+
+def test_side_scan_sees_string_branches(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'def f(side):\n'
+        '    if side == "left":\n'
+        '        return 0\n'
+        '    return side not in ("left", "right")\n'
+    )
+    assert [line for line, _ in side_string_comparisons(probe)] == [2, 4]
+
+
+def test_sides_are_data_not_strings():
+    """jordanian.Side is the one encoding of the two sphere families: no
+    module branches on the strings "left" or "right"."""
+    offenders = {
+        p.name: hits for p in sorted(PACKAGE.glob("*.py")) if (hits := side_string_comparisons(p))
+    }
+    assert offenders == {}

@@ -9,7 +9,7 @@ from jqsphere import scalars as sc
 from jqsphere.errors import AlgebraMismatch
 from jqsphere.ncalg import Algebra, FreePoly, all_words
 
-A = Algebra("A", ("c", "a", "d", "b"), params=("h",))
+A = Algebra("A", ("c", "a", "d", "b"))
 B = Algebra("B", ("x", "y"))
 
 
@@ -143,9 +143,9 @@ def test_map_slot_splices_image_slots():
 
 def test_combine_matches_the_sum_and_drops_cancelled_keys():
     a, b = gp("a"), gp("b")
-    pairs = [(sc.h, a + b), (sc.ONE, b * a), (-sc.h, b), (sc.ZERO, a)]
-    total = FreePoly.combine((A,), pairs)
-    assert total == sum((p.scale(c) for c, p in pairs), FreePoly.zero(A))
+    parts = [(a + b).scale(sc.h), b * a, b.scale(-sc.h), a.scale(sc.ZERO)]
+    total = FreePoly.combine((A,), parts)
+    assert total == sum(parts, FreePoly.zero(A))
     assert total.terms == {(A.word("a"),): sc.h, (A.word("b", "a"),): sc.ONE}
     assert FreePoly.combine((A, B), []) == FreePoly.zero(A, B)
 

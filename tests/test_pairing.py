@@ -191,7 +191,7 @@ def test_twisted_primitive_checker():
 
 
 def test_invariance_checker_reports_failures():
-    out = check_invariance(DP, H, [("b", B)], "left")
+    out = check_invariance(DP, H, [("b", B)], DP.left_action)
     assert ("gen:b", "-b") in out
 
 

@@ -26,7 +26,7 @@ from jqsphere.rewrite import (
 
 # -- fixtures ---------------------------------------------------------
 
-W = Algebra("weyl", ("x", "y"), params=("h",))  # yx = xy + h
+W = Algebra("weyl", ("x", "y"))  # yx = xy + h
 WX, WY = FreePoly.gen(W, "x"), FreePoly.gen(W, "y")
 WEYL_REL = WY * WX - WX * WY - sc.h
 
