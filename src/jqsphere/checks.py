@@ -35,8 +35,6 @@ from .jordanian import (
 )
 from .ncalg import FreePoly, collect, substitute_poly
 from .pairing import (
-    SPLIT_ENV,
-    SPLIT_FUN,
     check_invariance,
     check_pairing_annihilates,
     check_pairing_axioms,
@@ -390,11 +388,12 @@ def check_duality_axioms(cat):
         [w for w in fun_words if len(w) <= 2],
     )
     fun_labels = {aw: dp.fun.alg.render_word(aw) for aw in fun_words}
+    # dp peels function-side letters first, its transpose enveloping-side ones
     for uw in env_words:
         prefix = f"strategy:{dp.env.alg.render_word(uw)};"
         for aw in fun_words:
-            one = dp.pair_words(uw, aw, SPLIT_FUN)
-            collect(residuals, prefix + fun_labels[aw], one, dp.pair_words(uw, aw, SPLIT_ENV))
+            one = dp.pair_words(uw, aw)
+            collect(residuals, prefix + fun_labels[aw], one, dp.T.pair_words(aw, uw))
     return residuals, cat.describe(cat.bindings)
 
 
@@ -406,15 +405,11 @@ def check_duality_welldefined(cat):
     fun_words = list(cat.system(FUN).normal_words(3))
     residuals = [
         (f"fun-relation:{label}", value)
-        for label, value in check_pairing_annihilates(
-            dp, cat.relations(FUN), "fun", env_words
-        )
+        for label, value in check_pairing_annihilates(dp, cat.relations(FUN), env_words)
     ]
     residuals += [
         (f"env-relation:{label}", value)
-        for label, value in check_pairing_annihilates(
-            dp, cat.relations(ENV), "env", fun_words
-        )
+        for label, value in check_pairing_annihilates(dp.T, cat.relations(ENV), fun_words)
     ]
     return residuals, cat.describe(cat.bindings)
 

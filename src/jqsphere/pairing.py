@@ -3,14 +3,19 @@ algebra, from a base table on generators.
 
 The value on longer words is forced by the bialgebra laws: pairing
 against a product on one side splits through the coproduct on the other.
-Both split directions are implemented as separate strategies so their
-agreement can be tested instead of assumed.  Evaluation is memoized on
-word pairs; the cache is pure and can be cleared at any time without
-changing results.
+The recursion is written once and peels function-side letters.
+DualPairing.T is the same pairing read the other way round, <a, u>, so
+the same code run on T peels enveloping-side letters; a word pair goes
+to T when only the enveloping word can be split.  The duality check
+compares both directions on every word pair instead of assuming they
+agree.  Evaluation is memoized on word pairs, one memo per direction;
+the caches are pure and can be cleared at any time without changing
+results.
 
-The invariance check takes the action as a function act(u, a), bound to
-left_action or, with its arguments swapped, to right_action.  Checks
-gather their residuals through ncalg.collect.
+pair_words takes words; pair takes polynomials and reduces them to
+normal form first.  The invariance check takes the action as a function
+act(u, a), bound to left_action or, with its arguments swapped, to
+right_action.  Checks gather their residuals through ncalg.collect.
 """
 
 from __future__ import annotations
@@ -21,14 +26,12 @@ from . import scalars as sc
 from .ncalg import FreePoly, collect
 from .hopf import HopfStructure
 
-SPLIT_FUN = "split-fun"  # peel generators off the function-algebra word
-SPLIT_ENV = "split-env"  # peel generators off the enveloping-algebra word
-
-STRATEGIES = (SPLIT_FUN, SPLIT_ENV)
-
 
 class DualPairing:
-    """<u, a> for u over the enveloping side, a over the function side."""
+    """<u, a> for u over the enveloping side, a over the function side.
+
+    T is the transpose <a, u>: a DualPairing with env and fun swapped,
+    built once with the pairing, with T.T the pairing itself."""
 
     def __init__(self, env: HopfStructure, fun: HopfStructure, base: dict):
         self.env = env
@@ -54,61 +57,51 @@ class DualPairing:
                             "of length > 1; recursive pairing needs letters"
                         )
         self._memo = {}
+        # the checks above read the same with env and fun swapped
+        self.T = transpose = object.__new__(DualPairing)
+        transpose.env, transpose.fun, transpose.T = fun, env, self
+        transpose.base = {(ai, ui): value for (ui, ai), value in self.base.items()}
+        transpose._memo = {}
 
     def clear_cache(self):
         self._memo = {}
+        self.T._memo = {}
 
     # -- word-level recursion -----------------------------------------
 
-    def pair_words(self, uw, aw, strategy=SPLIT_FUN):
-        key = (strategy, uw, aw)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        value = self._pair_words(uw, aw, strategy)
-        self._memo[key] = value
+    def pair_words(self, uw, aw):
+        value = self._memo.get((uw, aw))
+        if value is None:
+            value = self._memo[(uw, aw)] = self._pair_words(uw, aw)
         return value
 
-    def _pair_words(self, uw, aw, strategy):
+    def _pair_words(self, uw, aw):
         if not uw:
             return self.fun.counit.scalar(FreePoly.from_word(self.fun.alg, aw))
-        if not aw:
-            return self.env.counit.scalar(FreePoly.from_word(self.env.alg, uw))
-        if len(uw) == 1 and len(aw) == 1:
+        if not aw or (len(aw) == 1 and len(uw) > 1):
+            return self.T.pair_words(aw, uw)
+        if len(aw) == 1:
             return self.base[(uw[0], aw[0])]
-        if len(aw) > 1 and (strategy == SPLIT_FUN or len(uw) == 1):
-            # <u, g . rest> = sum <u(1), g> <u(2), rest>
-            g, rest = aw[:1], aw[1:]
-            split = self.env.coproduct(FreePoly.from_word(self.env.alg, uw))
-            total = sc.ZERO
-            for (u1, u2), c in split.terms.items():
-                left = self.pair_words(u1, g, strategy)
-                if not left:
-                    continue
-                total = total + c * left * self.pair_words(u2, rest, strategy)
-            return total
-        # <f . rest, a> = sum <f, a(1)> <rest, a(2)>
-        f, rest = uw[:1], uw[1:]
-        split = self.fun.coproduct(FreePoly.from_word(self.fun.alg, aw))
+        # <u, g . rest> = sum <u(1), g> <u(2), rest>
+        g, rest = aw[:1], aw[1:]
+        split = self.env.coproduct(FreePoly.from_word(self.env.alg, uw))
         total = sc.ZERO
-        for (a1, a2), c in split.terms.items():
-            left = self.pair_words(f, a1, strategy)
+        for (u1, u2), c in split.terms.items():
+            left = self.pair_words(u1, g)
             if not left:
                 continue
-            total = total + c * left * self.pair_words(rest, a2, strategy)
+            total = total + c * left * self.pair_words(u2, rest)
         return total
 
     # -- polynomial level ----------------------------------------------
 
-    def pair(self, u: FreePoly, a: FreePoly, strategy=SPLIT_FUN):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def pair(self, u: FreePoly, a: FreePoly):
         un = self.env.system.normal_form(u)
         an = self.fun.system.normal_form(a)
         total = sc.ZERO
         for (uw,), cu in un.terms.items():
             for (aw,), ca in an.terms.items():
-                val = self.pair_words(uw, aw, strategy)
+                val = self.pair_words(uw, aw)
                 if val:
                     total = total + cu * ca * val
         return total
@@ -116,9 +109,18 @@ class DualPairing:
     # -- module structure on the function side --------------------------
 
     def _paired(self, u: FreePoly):
-        """The linear form <u, -> on function-side words, valued in scalars."""
-        fun = self.fun.alg
-        return lambda w: FreePoly.scalar((), self.pair(u, FreePoly.from_word(fun, w)))
+        """The linear form <u, -> on normal function-side words, valued in scalars."""
+        terms = self.env.system.normal_form(u).terms.items()
+
+        def form(aw):
+            total = sc.ZERO
+            for (uw,), cu in terms:
+                val = self.pair_words(uw, aw)
+                if val:
+                    total = total + cu * val
+            return FreePoly.scalar((), total)
+
+        return form
 
     def left_action(self, u: FreePoly, a: FreePoly) -> FreePoly:
         """u acting from the left: keep a's first tensor leg, pair the second."""
@@ -137,67 +139,59 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
     """Bialgebra compatibility of the pairing on the given normal words:
     products on one side split through coproducts on the other, units
     pair by counits, antipodes transpose.  Returns (label, value) pairs
-    for every identity that failed, with the nonzero difference rendered."""
+    for every identity that failed, with the nonzero difference rendered.
+
+    The words are normal, so the unit rows and the split legs pair them
+    as words; products and antipodes are polynomials and go through pair."""
     bad = []
-    env_alg, fun_alg = dp.env.alg, dp.fun.alg
-    upoly = functools.partial(FreePoly.from_word, env_alg)
-    apoly = functools.partial(FreePoly.from_word, fun_alg)
-    env_words = list(env_words)
-    fun_words = list(fun_words)
+    env, fun = dp.env, dp.fun
+    env_polys = {w: FreePoly.from_word(env.alg, w) for w in env_words}
+    fun_polys = {w: FreePoly.from_word(fun.alg, w) for w in fun_words}
     # labels are rendered once per word, not once per identity checked
-    ew = {w: env_alg.render_word(w) for w in env_words}
-    fw = {w: fun_alg.render_word(w) for w in fun_words}
-    short_env = [w for w in env_words if len(w) <= product_depth]
-    short_fun = [w for w in fun_words if len(w) <= product_depth]
-    for uw in env_words:
-        u = upoly(uw)
-        got = dp.pair(u, FreePoly.unit(fun_alg))
-        collect(bad, f"unit-fun:{ew[uw]}", got, dp.env.counit.scalar(u))
-    for aw in fun_words:
-        a = apoly(aw)
-        got = dp.pair(FreePoly.unit(env_alg), a)
-        collect(bad, f"unit-env:{fw[aw]}", got, dp.fun.counit.scalar(a))
+    ew = {w: env.alg.render_word(w) for w in env_polys}
+    fw = {w: fun.alg.render_word(w) for w in fun_polys}
+    short_env = [w for w in env_polys if len(w) <= product_depth]
+    short_fun = [w for w in fun_polys if len(w) <= product_depth]
+    for uw, u in env_polys.items():
+        collect(bad, f"unit-fun:{ew[uw]}", dp.pair_words(uw, ()), env.counit.scalar(u))
+    for aw, a in fun_polys.items():
+        collect(bad, f"unit-env:{fw[aw]}", dp.pair_words((), aw), fun.counit.scalar(a))
     for uw in short_env:
         for vw in short_env:
-            u, v = upoly(uw), upoly(vw)
-            for aw in fun_words:
-                a = apoly(aw)
-                direct = dp.pair(u * v, a)
+            uv = env_polys[uw] * env_polys[vw]
+            for aw, a in fun_polys.items():
                 split = sc.ZERO
-                for (a1, a2), c in dp.fun.coproduct(a).terms.items():
-                    split = split + c * dp.pair(u, apoly(a1)) * dp.pair(v, apoly(a2))
-                collect(bad, f"product-env:{ew[uw]};{ew[vw]};{fw[aw]}", direct, split)
+                for (a1, a2), c in fun.coproduct(a).terms.items():
+                    split = split + c * dp.pair_words(uw, a1) * dp.pair_words(vw, a2)
+                collect(bad, f"product-env:{ew[uw]};{ew[vw]};{fw[aw]}", dp.pair(uv, a), split)
     for aw in short_fun:
         for bw in short_fun:
-            a, b = apoly(aw), apoly(bw)
-            for uw in env_words:
-                u = upoly(uw)
-                direct = dp.pair(u, a * b)
+            ab = fun_polys[aw] * fun_polys[bw]
+            for uw, u in env_polys.items():
                 split = sc.ZERO
-                for (u1, u2), c in dp.env.coproduct(u).terms.items():
-                    split = split + c * dp.pair(upoly(u1), a) * dp.pair(upoly(u2), b)
-                collect(bad, f"product-fun:{ew[uw]};{fw[aw]};{fw[bw]}", direct, split)
-    for uw in env_words:
-        for aw in fun_words:
-            u, a = upoly(uw), apoly(aw)
-            got = dp.pair(dp.env.antipode(u), a)
-            collect(bad, f"antipode:{ew[uw]};{fw[aw]}", got, dp.pair(u, dp.fun.antipode(a)))
+                for (u1, u2), c in env.coproduct(u).terms.items():
+                    split = split + c * dp.pair_words(u1, aw) * dp.pair_words(u2, bw)
+                collect(bad, f"product-fun:{ew[uw]};{fw[aw]};{fw[bw]}", dp.pair(u, ab), split)
+    for uw, u in env_polys.items():
+        for aw, a in fun_polys.items():
+            got = dp.pair(env.antipode(u), a)
+            collect(bad, f"antipode:{ew[uw]};{fw[aw]}", got, dp.pair(u, fun.antipode(a)))
     return bad
 
 
-def check_pairing_annihilates(dp: DualPairing, relations, side, words) -> list:
-    """Well-definedness: defining relations of one factor pair to zero
-    against every word of the other factor."""
+def check_pairing_annihilates(dp: DualPairing, relations, words) -> list:
+    """Well-definedness: each defining relation of dp's function side,
+    paired term by term as it is written, vanishes against every given
+    word of the enveloping side.  dp.T checks the enveloping side's
+    relations."""
     bad = []
+    labels = {w: dp.env.alg.render_word(w) for w in words}
     for label, rel in relations:
         for w in words:
-            if side == "fun":
-                val = dp.pair(FreePoly.from_word(dp.env.alg, w), rel)
-                wlabel = dp.env.alg.render_word(w)
-            else:
-                val = dp.pair(rel, FreePoly.from_word(dp.fun.alg, w))
-                wlabel = dp.fun.alg.render_word(w)
-            collect(bad, f"{label};{wlabel}", val)
+            val = sc.ZERO
+            for (rw,), c in rel.terms.items():
+                val = val + c * dp.pair_words(w, rw)
+            collect(bad, f"{label};{labels[w]}", val)
     return bad
 
 

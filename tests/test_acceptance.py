@@ -106,8 +106,9 @@ def test_criterion_10_sphere_families_are_isomorphic():
 def test_criterion_11_duality_is_a_well_defined_pairing():
     with capped(11, "duality", 120.0):
         run(GEN, "duality-axioms", "duality-welldefined")
-        # the strategy cross-check sweeps every normal word pair up to
-        # degree three on both sides, far beyond a hundred samples
+        # the cross-check of the pairing against its transpose sweeps every
+        # normal word pair up to degree three on both sides, far beyond a
+        # hundred samples
         env_words = sum(1 for _ in GEN.system("uh").normal_words(3))
         fun_words = sum(1 for _ in GEN.system("funh").normal_words(3))
         assert env_words * fun_words >= 100

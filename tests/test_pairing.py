@@ -14,9 +14,6 @@ from jqsphere.hopf import HopfStructure
 from jqsphere.jordanian import build_catalog
 from jqsphere.ncalg import FreePoly
 from jqsphere.pairing import (
-    SPLIT_ENV,
-    SPLIT_FUN,
-    STRATEGIES,
     DualPairing,
     check_invariance,
     check_pairing_annihilates,
@@ -33,8 +30,16 @@ A, B, C, D = (FreePoly.gen(FUN, n) for n in "abcd")
 T, TI, Y, H = (FreePoly.gen(ENV, n) for n in ("T", "Tinv", "Y", "H"))
 
 
-def val(u, a, strategy=SPLIT_FUN):
-    return DP.pair(u, a, strategy)
+# The pairing peels function-side letters first; its transpose DP.T reads
+# the same pairing as <a, u> and so peels enveloping-side letters first.
+DIRECTIONS = {
+    "split-fun": lambda u, a: DP.pair(u, a),
+    "split-env": lambda u, a: DP.T.pair(a, u),
+}
+
+
+def val(u, a, direction="split-fun"):
+    return DIRECTIONS[direction](u, a)
 
 
 # -- base table and frozen word values ----------------------------------
@@ -53,17 +58,17 @@ def test_generator_table():
     assert val(H, D) == -sc.ONE
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_frozen_length_two_values(strategy):
+@pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+def test_frozen_length_two_values(direction):
     # split through the coproducts by hand:
     #   <H, ab> = <H,a><T,b> + <Tinv,a><H,b> = h
     #   <H, ba> = <H,b><T,a> + <Tinv,b><H,a> = -h
     #   <H, a^2> = 2, <Y, ca> = 1, <T, ab> = <T,a><T,b> = h
-    assert val(H, A * B, strategy) == sc.h
-    assert val(H, B * A, strategy) == -sc.h
-    assert val(H, A * A, strategy) == 2 * sc.ONE
-    assert val(Y, C * A, strategy) == sc.ONE
-    assert val(T, A * B, strategy) == sc.h
+    assert val(H, A * B, direction) == sc.h
+    assert val(H, B * A, direction) == -sc.h
+    assert val(H, A * A, direction) == 2 * sc.ONE
+    assert val(Y, C * A, direction) == sc.ONE
+    assert val(T, A * B, direction) == sc.h
 
 
 def test_grouplike_pairs_multiplicatively():
@@ -99,12 +104,14 @@ def test_pairing_normalizes_before_splitting():
         assert val(u, D * A) == val(u, C * B - (C * A).scale(sc.h) + 1)
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError, match="strategy"):
-        DP.pair(T, A, strategy="sideways")
+def test_transpose_is_built_once():
+    assert isinstance(DP.T, DualPairing)
+    assert DP.T.T is DP
+    assert (DP.T.env, DP.T.fun) == (DP.fun, DP.env)
+    assert DP.T._memo is not DP._memo
 
 
-# -- strategy agreement and cache behaviour -----------------------------
+# -- agreement of the two directions and cache behaviour ----------------
 
 ENV_WORDS = st.lists(st.sampled_from(["T", "Tinv", "Y", "H"]), min_size=0, max_size=3)
 FUN_WORDS = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=0, max_size=3)
@@ -115,15 +122,17 @@ FUN_WORDS = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=0, max_size
 def test_split_directions_agree(uls, als):
     u = FreePoly.from_word(ENV, tuple(ENV.index(n) for n in uls))
     a = FreePoly.from_word(FUN, tuple(FUN.index(n) for n in als))
-    assert DP.pair(u, a, SPLIT_FUN) == DP.pair(u, a, SPLIT_ENV)
+    assert DP.pair(u, a) == DP.T.pair(a, u)
 
 
 def test_cache_is_transparent():
     u, a = Y * H, A * B * C
     first = DP.pair(u, a)
-    assert DP._memo
+    DP.T.pair(a, u)
+    assert DP._memo and DP.T._memo
     DP.clear_cache()
     assert not DP._memo
+    assert not DP.T._memo
     assert DP.pair(u, a) == first
 
 
@@ -178,8 +187,16 @@ def test_pairing_axioms_pass_on_short_words():
 def test_pairing_annihilates_relations():
     ew = short_words(CAT.system("uh"), 2)
     fw = short_words(CAT.system("funh"), 2)
-    assert check_pairing_annihilates(DP, CAT.relations("funh"), "fun", ew) == []
-    assert check_pairing_annihilates(DP, CAT.relations("uh"), "env", fw) == []
+    assert check_pairing_annihilates(DP, CAT.relations("funh"), ew) == []
+    assert check_pairing_annihilates(DP.T, CAT.relations("uh"), fw) == []
+
+
+def test_pairing_annihilates_sees_a_broken_relation():
+    # a*c - c*a + h*c^2 pairs to zero term by term; doubling its last term
+    # leaves h*<Y^2, c^2> = 2h against Y^2
+    ew = short_words(CAT.system("uh"), 2)
+    broken = A * C - C * A + (C * C).scale(2 * sc.h)
+    assert check_pairing_annihilates(DP, [("ac", broken)], ew) == [("ac;Y^2", "2*h")]
 
 
 def test_twisted_primitive_checker():
