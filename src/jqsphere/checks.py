@@ -3,14 +3,22 @@
 Each check computes a family of residuals that must all vanish (or, for
 the two existence statements, must not).  A check reports (label, value)
 pairs for everything that failed, never a bare boolean, so a broken
-identity shows the offending polynomial verbatim.  The registry at the
-bottom fixes the canonical ordering used by the command line.
+identity shows the offending polynomial verbatim.
+
+The registry at the bottom, CHECKS, is one table of rows
+id -> (run, summary): run(cat) returns (residuals, parameters) and
+summary is the line that ``jqsphere --list`` prints.  Its order is the
+canonical order used by the command line.  A check stated once for each
+of the two mirror sphere families is one function taking a
+jordanian.Side, with one row per side binding it through
+functools.partial (check_hopf likewise takes the algebra name).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import scalars as sc
 from .errors import JQSphereError, UnknownCheckId
@@ -68,8 +76,6 @@ def _count_by_degree(system, max_degree):
 
 
 def check_confluence_catalog(cat):
-    """All four presentations complete, with verified ambiguity
-    certificates and the expected normal-word counts per degree."""
     residuals = []
     for name in ALGEBRAS:
         system = cat.system(name)
@@ -89,8 +95,6 @@ def check_confluence_catalog(cat):
 
 
 def check_pbw_funh(cat):
-    """The six commutation rules alone are already confluent: completion
-    adds nothing and ordered monomials give the full-size basis."""
     residuals = []
     system = cat.system(FUN, skip=(DET_LABEL,))
     if len(system.rules) != 6:
@@ -107,10 +111,6 @@ def check_pbw_funh(cat):
 
 
 def check_determinant(cat):
-    """The quantum determinant normalizes to 1 and commutes with all
-    four generators in the unit-determinant quotient.  Its commutators
-    in the six-relation algebra are exact multiples of the determinant
-    relation itself, never anything outside that ideal."""
     residuals = []
     full = cat.system(FUN)
     six = cat.system(FUN, skip=(DET_LABEL,))
@@ -128,26 +128,12 @@ def check_determinant(cat):
     return residuals, cat.describe(cat.bindings)
 
 
-def _check_hopf(cat, name):
+def check_hopf(cat, name):
     residuals = check_hopf_axioms(cat.hopf(name), max_degree=3, relations=cat.relations(name))
     return residuals, cat.describe(cat.bindings)
 
 
-def check_hopf_funh(cat):
-    """Hopf axioms for the function algebra on normal words of degree
-    up to 3, plus preservation of its defining relations."""
-    return _check_hopf(cat, FUN)
-
-
-def check_hopf_uh(cat):
-    """Hopf axioms for the enveloping algebra on normal words of degree
-    up to 3, plus preservation of its defining relations."""
-    return _check_hopf(cat, ENV)
-
-
 def check_grouplike_j1(cat):
-    """The monodromy matrix is group-like entry by entry and its counit
-    is the identity matrix."""
     residuals = []
     labels = cat.matrix_labels
     entries = cat.matrix()
@@ -169,41 +155,19 @@ def check_grouplike_j1(cat):
     return residuals, cat.describe(cat.bindings)
 
 
-def _check_comodule(cat, side):
+def check_comodule(cat, side):
     residuals = check_comodule_axioms(cat.coaction(side), cat.hopf(FUN), side.fun_slot)
     return residuals, cat.describe(cat.bindings)
 
 
-def check_comodule_left(cat):
-    """Coassociativity and counit laws for the left sphere coaction."""
-    return _check_comodule(cat, LEFT)
-
-
-def check_comodule_right(cat):
-    """Coassociativity and counit laws for the right sphere coaction."""
-    return _check_comodule(cat, RIGHT)
-
-
-def _check_coaction(cat, side):
+def check_coaction(cat, side):
     residuals = check_morphism_respects_relations(
         cat.coaction(side), cat.relations(side.sphere)
     )
     return residuals, cat.describe(cat.bindings)
 
 
-def check_coaction_left(cat):
-    """The left coaction preserves all four left sphere relations; any
-    nonzero residual is reported verbatim."""
-    return _check_coaction(cat, LEFT)
-
-
-def check_coaction_right(cat):
-    """The right coaction preserves all four right sphere relations; any
-    nonzero residual is reported verbatim."""
-    return _check_coaction(cat, RIGHT)
-
-
-def _check_scaling(cat, side):
+def check_scaling(cat, side):
     kname, bname = side.shift, side.radius
     eff = cat.effective(without=(kname, bname, "s"))
     alg = cat.algebra(side.sphere)
@@ -221,31 +185,12 @@ def _check_scaling(cat, side):
     return residuals, cat.describe(eff)
 
 
-def check_scaling_left(cat):
-    """Shrinking the left sphere generators by s turns its relations
-    into the relations at shift s*k and radius s^2*beta, exactly."""
-    return _check_scaling(cat, LEFT)
-
-
-def check_scaling_right(cat):
-    """Shrinking the right sphere generators by s turns its relations
-    into the relations at shift s*kprime and radius s^2*betaprime."""
-    return _check_scaling(cat, RIGHT)
-
-
-def _beta_constraint(side):
-    """scale^2 + 2 shift^2, the shift of the right family twisted by 1 - 2 h^2."""
-    shift2 = sc.PARAMS[side.shift] ** 2
-    if side is RIGHT:
-        shift2 = (sc.ONE - 2 * sc.PARAMS["h"] ** 2) * shift2
-    return sc.PARAMS[side.scale] ** 2 + 2 * shift2
-
-
-def _check_embedding_beta(cat, side):
+def check_embedding_beta(cat, side):
     bname = side.radius
     eff = cat.effective(without=(bname,))
     emb = cat.morphism(side.embed, eff)
-    constraint = sc.substitute(_beta_constraint(side), eff)
+    shift, scale = sc.PARAMS[side.shift], sc.PARAMS[side.scale]
+    constraint = sc.substitute(scale ** 2 + 2 * side.twist * shift ** 2, eff)
     casimir = FreePoly.unit(cat.algebra(FUN), constraint - sc.PARAMS[bname])
     residuals = []
     for label, rel in cat.relations(side.sphere, eff):
@@ -257,20 +202,7 @@ def _check_embedding_beta(cat, side):
     return residuals, cat.describe(eff)
 
 
-def check_embedding_left_beta(cat):
-    """The left embedding satisfies the sphere relations exactly when
-    the radius equals rho^2 + 2 k^2: the casimir residual is that
-    constraint and every other residual vanishes."""
-    return _check_embedding_beta(cat, LEFT)
-
-
-def check_embedding_right_beta(cat):
-    """The right embedding satisfies the sphere relations exactly when
-    the radius equals rhoprime^2 + 2 (1 - 2 h^2) kprime^2."""
-    return _check_embedding_beta(cat, RIGHT)
-
-
-def _check_embedding_limit(cat, side):
+def check_embedding_limit(cat, side):
     symbolic = (side.shift, side.radius)
     eff = cat.effective(without=symbolic)
     eff.update({side.shift: sc.ZERO, side.radius: sc.ONE})
@@ -281,22 +213,7 @@ def _check_embedding_limit(cat, side):
     return residuals, cat.describe(eff)
 
 
-def check_embedding_limit_left(cat):
-    """The scale-free left embedding satisfies the left sphere at shift
-    zero and radius one."""
-    return _check_embedding_limit(cat, LEFT)
-
-
-def check_embedding_limit_right(cat):
-    """The scale-free right embedding satisfies the right sphere at
-    shift zero and radius one."""
-    return _check_embedding_limit(cat, RIGHT)
-
-
 def check_embedding_matrix_form(cat):
-    """Embeddings written out longhand agree with contracting the
-    monodromy matrix against constant vectors, and the scale-free
-    variants are its middle column and row."""
     residuals = []
     entries = cat.matrix()
     fun = cat.algebra(FUN)
@@ -320,7 +237,7 @@ def check_embedding_matrix_form(cat):
     return residuals, cat.describe(cat.bindings)
 
 
-def _check_containment(cat, side):
+def check_containment(cat, side):
     residuals = []
     entries = cat.matrix()
     cop = cat.morphism(f"{FUN}_coproduct")
@@ -339,21 +256,7 @@ def _check_containment(cat, side):
     return residuals, cat.describe(cat.bindings)
 
 
-def check_containment_left(cat):
-    """Coproducts of embedded left sphere components stay inside
-    funh (x) sphere: matrix row tensor embedded components."""
-    return _check_containment(cat, LEFT)
-
-
-def check_containment_right(cat):
-    """Coproducts of embedded right sphere components stay inside
-    sphere (x) funh: embedded components tensor matrix column."""
-    return _check_containment(cat, RIGHT)
-
-
 def check_pi_isomorphism(cat):
-    """The generator substitution between the two sphere families kills
-    every relation in both directions and composes to the identity."""
     eff = cat.effective(without=("k", "beta", "kprime", "betaprime"))
     pi = cat.morphism(SPHERE_ISO, eff)
     sigma = cat.morphism(SPHERE_ISO_INVERSE, eff)
@@ -376,9 +279,6 @@ def check_pi_isomorphism(cat):
 
 
 def check_duality_axioms(cat):
-    """Bialgebra compatibility of the pairing on normal words, plus
-    agreement of the two recursion strategies on every word pair up to
-    degree 3 on both sides."""
     dp = cat.pairing()
     env_words = list(cat.system(ENV).normal_words(3))
     fun_words = list(cat.system(FUN).normal_words(3))
@@ -390,7 +290,7 @@ def check_duality_axioms(cat):
     fun_labels = {aw: dp.fun.alg.render_word(aw) for aw in fun_words}
     # dp peels function-side letters first, its transpose enveloping-side ones
     for uw in env_words:
-        prefix = f"strategy:{dp.env.alg.render_word(uw)};"
+        prefix = f"transpose:{dp.env.alg.render_word(uw)};"
         for aw in fun_words:
             one = dp.pair_words(uw, aw)
             collect(residuals, prefix + fun_labels[aw], one, dp.T.pair_words(aw, uw))
@@ -398,8 +298,6 @@ def check_duality_axioms(cat):
 
 
 def check_duality_welldefined(cat):
-    """Defining relations of either factor pair to zero against all
-    normal words of the other factor up to degree 3."""
     dp = cat.pairing()
     env_words = list(cat.system(ENV).normal_words(3))
     fun_words = list(cat.system(FUN).normal_words(3))
@@ -414,7 +312,7 @@ def check_duality_welldefined(cat):
     return residuals, cat.describe(cat.bindings)
 
 
-def _check_primitive(cat, side):
+def check_primitive(cat, side):
     dp = cat.pairing()
     env = cat.algebra(ENV)
     grouplike = FreePoly.gen(env, "T")
@@ -431,25 +329,13 @@ def _check_primitive(cat, side):
     return residuals, cat.describe(cat.bindings)
 
 
-def check_primitive_PL(cat):
-    """The left invariance element is twisted primitive for T, in both
-    its verbatim and denominator-cleared forms."""
-    return _check_primitive(cat, LEFT)
-
-
-def check_primitive_PR(cat):
-    """The right invariance element is twisted primitive for T, in both
-    its verbatim and denominator-cleared forms."""
-    return _check_primitive(cat, RIGHT)
-
-
 def _embedded_generators(cat, side, emb_name):
     sphere = cat.algebra(side.sphere)
     emb = cat.morphism(emb_name)
     return [(gname, emb(FreePoly.gen(sphere, gname))) for _, gname in side.axes]
 
 
-def _check_invariance(cat, side):
+def check_invariance_components(cat, side):
     act = side.action(cat.pairing())
     element = cat.element(f"{side.element}_cleared")
     residuals = []
@@ -458,22 +344,7 @@ def _check_invariance(cat, side):
     return residuals, cat.describe(cat.bindings)
 
 
-def check_invariance_PL(cat):
-    """The cleared left element annihilates every embedded left sphere
-    component under the left action."""
-    return _check_invariance(cat, LEFT)
-
-
-def check_invariance_PR(cat):
-    """The cleared right element annihilates every embedded right sphere
-    component under the right action."""
-    return _check_invariance(cat, RIGHT)
-
-
 def check_invariance_products(cat):
-    """Invariance extends to all pairwise products of embedded
-    components, computed both directly and through the coproduct
-    splitting of the invariance element."""
     dp = cat.pairing()
     residuals = []
     for side in SIDES:
@@ -490,8 +361,6 @@ def check_invariance_products(cat):
 
 
 def check_limit_primitives(cat):
-    """At shift zero both cleared elements collapse to -2h H, and H
-    annihilates the scale-free embeddings on the matching side."""
     eff = cat.effective(without=("k", "kprime"))
     env = cat.algebra(ENV)
     hpar = sc.substitute(sc.PARAMS["h"], eff)
@@ -511,8 +380,6 @@ def check_limit_primitives(cat):
 
 
 def check_primitive_distinctness(cat):
-    """The two cleared elements differ generically and coincide once
-    both shifts are set to zero."""
     eff = cat.effective(without=("k", "kprime"))
     diff = cat.element("PL_cleared", eff) - cat.element("PR_cleared", eff)
     residuals = []
@@ -523,35 +390,151 @@ def check_primitive_distinctness(cat):
 
 
 CHECKS = {
-    "confluence-catalog": check_confluence_catalog,
-    "pbw-funh": check_pbw_funh,
-    "determinant": check_determinant,
-    "hopf-funh": check_hopf_funh,
-    "hopf-uh": check_hopf_uh,
-    "grouplike-j1": check_grouplike_j1,
-    "comodule-left": check_comodule_left,
-    "comodule-right": check_comodule_right,
-    "coaction-left": check_coaction_left,
-    "coaction-right": check_coaction_right,
-    "scaling-left": check_scaling_left,
-    "scaling-right": check_scaling_right,
-    "embedding-left-beta": check_embedding_left_beta,
-    "embedding-right-beta": check_embedding_right_beta,
-    "embedding-limit-left": check_embedding_limit_left,
-    "embedding-limit-right": check_embedding_limit_right,
-    "embedding-matrix-form": check_embedding_matrix_form,
-    "containment-left": check_containment_left,
-    "containment-right": check_containment_right,
-    "pi-isomorphism": check_pi_isomorphism,
-    "duality-axioms": check_duality_axioms,
-    "duality-welldefined": check_duality_welldefined,
-    "primitive-PL": check_primitive_PL,
-    "primitive-PR": check_primitive_PR,
-    "invariance-PL": check_invariance_PL,
-    "invariance-PR": check_invariance_PR,
-    "invariance-products": check_invariance_products,
-    "limit-primitives": check_limit_primitives,
-    "primitive-distinctness": check_primitive_distinctness,
+    "confluence-catalog": (
+        check_confluence_catalog,
+        "All four presentations complete, with verified ambiguity certificates and the "
+        "expected normal-word counts per degree.",
+    ),
+    "pbw-funh": (
+        check_pbw_funh,
+        "The six commutation rules alone are already confluent: completion adds nothing and "
+        "ordered monomials give the full-size basis.",
+    ),
+    "determinant": (
+        check_determinant,
+        "The quantum determinant normalizes to 1 and commutes with all four generators in the "
+        "unit-determinant quotient.  Its commutators in the six-relation algebra are exact "
+        "multiples of the determinant relation itself, never anything outside that ideal.",
+    ),
+    "hopf-funh": (
+        partial(check_hopf, name=FUN),
+        "Hopf axioms for the function algebra on normal words of degree up to 3, plus "
+        "preservation of its defining relations.",
+    ),
+    "hopf-uh": (
+        partial(check_hopf, name=ENV),
+        "Hopf axioms for the enveloping algebra on normal words of degree up to 3, plus "
+        "preservation of its defining relations.",
+    ),
+    "grouplike-j1": (
+        check_grouplike_j1,
+        "The monodromy matrix is group-like entry by entry and its counit is the identity "
+        "matrix.",
+    ),
+    "comodule-left": (
+        partial(check_comodule, side=LEFT),
+        "Coassociativity and counit laws for the left sphere coaction.",
+    ),
+    "comodule-right": (
+        partial(check_comodule, side=RIGHT),
+        "Coassociativity and counit laws for the right sphere coaction.",
+    ),
+    "coaction-left": (
+        partial(check_coaction, side=LEFT),
+        "The left coaction preserves all four left sphere relations; any nonzero residual is "
+        "reported verbatim.",
+    ),
+    "coaction-right": (
+        partial(check_coaction, side=RIGHT),
+        "The right coaction preserves all four right sphere relations; any nonzero residual "
+        "is reported verbatim.",
+    ),
+    "scaling-left": (
+        partial(check_scaling, side=LEFT),
+        "Shrinking the left sphere generators by s turns its relations into the relations at "
+        "shift s*k and radius s^2*beta, exactly.",
+    ),
+    "scaling-right": (
+        partial(check_scaling, side=RIGHT),
+        "Shrinking the right sphere generators by s turns its relations into the relations at "
+        "shift s*kprime and radius s^2*betaprime.",
+    ),
+    "embedding-left-beta": (
+        partial(check_embedding_beta, side=LEFT),
+        "The left embedding satisfies the sphere relations exactly when the radius equals "
+        "rho^2 + 2 k^2: the casimir residual is that constraint and every other residual "
+        "vanishes.",
+    ),
+    "embedding-right-beta": (
+        partial(check_embedding_beta, side=RIGHT),
+        "The right embedding satisfies the sphere relations exactly when the radius equals "
+        "rhoprime^2 + 2 (1 - 2 h^2) kprime^2.",
+    ),
+    "embedding-limit-left": (
+        partial(check_embedding_limit, side=LEFT),
+        "The scale-free left embedding satisfies the left sphere at shift zero and radius "
+        "one.",
+    ),
+    "embedding-limit-right": (
+        partial(check_embedding_limit, side=RIGHT),
+        "The scale-free right embedding satisfies the right sphere at shift zero and radius "
+        "one.",
+    ),
+    "embedding-matrix-form": (
+        check_embedding_matrix_form,
+        "Embeddings written out longhand agree with contracting the monodromy matrix against "
+        "constant vectors, and the scale-free variants are its middle column and row.",
+    ),
+    "containment-left": (
+        partial(check_containment, side=LEFT),
+        "Coproducts of embedded left sphere components stay inside funh (x) sphere: matrix "
+        "row tensor embedded components.",
+    ),
+    "containment-right": (
+        partial(check_containment, side=RIGHT),
+        "Coproducts of embedded right sphere components stay inside sphere (x) funh: "
+        "embedded components tensor matrix column.",
+    ),
+    "pi-isomorphism": (
+        check_pi_isomorphism,
+        "The generator substitution between the two sphere families kills every relation in "
+        "both directions and composes to the identity.",
+    ),
+    "duality-axioms": (
+        check_duality_axioms,
+        "Bialgebra compatibility of the pairing on normal words, plus agreement of the pairing "
+        "and its transpose on every word pair up to degree 3 on both sides.",
+    ),
+    "duality-welldefined": (
+        check_duality_welldefined,
+        "Defining relations of either factor pair to zero against all normal words of the "
+        "other factor up to degree 3.",
+    ),
+    "primitive-PL": (
+        partial(check_primitive, side=LEFT),
+        "The left invariance element is twisted primitive for T, in both its verbatim and "
+        "denominator-cleared forms.",
+    ),
+    "primitive-PR": (
+        partial(check_primitive, side=RIGHT),
+        "The right invariance element is twisted primitive for T, in both its verbatim and "
+        "denominator-cleared forms.",
+    ),
+    "invariance-PL": (
+        partial(check_invariance_components, side=LEFT),
+        "The cleared left element annihilates every embedded left sphere component under the "
+        "left action.",
+    ),
+    "invariance-PR": (
+        partial(check_invariance_components, side=RIGHT),
+        "The cleared right element annihilates every embedded right sphere component under "
+        "the right action.",
+    ),
+    "invariance-products": (
+        check_invariance_products,
+        "Invariance extends to all pairwise products of embedded components, computed both "
+        "directly and through the coproduct splitting of the invariance element.",
+    ),
+    "limit-primitives": (
+        check_limit_primitives,
+        "At shift zero both cleared elements collapse to -2h H, and H annihilates the "
+        "scale-free embeddings on the matching side.",
+    ),
+    "primitive-distinctness": (
+        check_primitive_distinctness,
+        "The two cleared elements differ generically and coincide once both shifts are set to "
+        "zero.",
+    ),
 }
 
 
@@ -560,13 +543,8 @@ def check_ids():
 
 
 def describe_checks():
-    """(check id, first docstring line) pairs in canonical order."""
-    out = []
-    for name, fn in CHECKS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()
-        summary = " ".join(line.strip() for line in doc) if doc else ""
-        out.append((name, summary))
-    return out
+    """(check id, summary) pairs in canonical order."""
+    return [(name, summary) for name, (_, summary) in CHECKS.items()]
 
 
 def resolve_ids(requested):
@@ -583,12 +561,13 @@ def resolve_ids(requested):
 
 
 def run_check(cat, check_id):
-    fn = CHECKS.get(check_id)
-    if fn is None:
+    row = CHECKS.get(check_id)
+    if row is None:
         raise UnknownCheckId(f"unknown check id: {check_id}")
+    run, _ = row
     start = time.monotonic()
     try:
-        residuals, parameters = fn(cat)
+        residuals, parameters = run(cat)
         status = "pass" if not residuals else "fail"
     except Exception as exc:
         # a check is a boundary: one that crashes on a user catalog must

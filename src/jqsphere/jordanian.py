@@ -43,7 +43,10 @@ class Side:
     tensor: 0 for the left family (funh (x) sphere, corotating by matrix
     rows), 1 for the right one (sphere (x) funh, by columns).  It is also
     the tensor leg that the uh action keeps.  Everything that differs
-    between the mirrors beyond names is derived from it here.
+    between the mirrors beyond names is derived from it here, except
+    twist: the radius at which the embedding lands on the sphere is
+    scale^2 + 2 twist shift^2, with twist 1 on the left and 1 - 2 h^2
+    on the right.
     """
 
     name: str
@@ -56,6 +59,7 @@ class Side:
     scale: str
     element: str
     fun_slot: int
+    twist: sc.Scalar
 
     def order(self, fun_part, other):
         """The pair in coaction order: fun_part goes to slot fun_slot."""
@@ -80,11 +84,12 @@ class Side:
 
 LEFT = Side(
     "left", SPHERE_LEFT, (("m", "xm"), ("z", "x0"), ("p", "xp")),
-    "embed_left", "embed_left_limit", "k", "beta", "rho", "PL", 0,
+    "embed_left", "embed_left_limit", "k", "beta", "rho", "PL", 0, sc.ONE,
 )
 RIGHT = Side(
     "right", SPHERE_RIGHT, (("m", "ym"), ("z", "y0"), ("p", "yp")),
     "embed_right", "embed_right_limit", "kprime", "betaprime", "rhoprime", "PR", 1,
+    sc.ONE - 2 * sc.PARAMS["h"] ** 2,
 )
 SIDES = (LEFT, RIGHT)
 

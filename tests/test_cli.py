@@ -1,10 +1,12 @@
 """Check registry and command line behaviour: exit codes, report formats,
 parameter binding and catalog overrides."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +21,28 @@ from jqsphere.checks import (
 )
 from jqsphere.cli import main
 from jqsphere.errors import UnknownCheckId
-from jqsphere.jordanian import build_catalog
+from jqsphere.jordanian import ENV, FUN, LEFT, RIGHT, build_catalog
 
 FAST = ["pbw-funh", "determinant", "grouplike-j1", "scaling-left"]
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# `jqsphere --list`, captured before the registry became a table of rows;
+# only the duality-axioms summary has changed since
+LIST_FIXTURE = ROOT / "tests" / "data" / "list_golden.txt"
+
+# each mirror pair of rows: (first id, second id, keyword, its two values)
+SIDED_PAIRS = [
+    ("hopf-funh", "hopf-uh", "name", (FUN, ENV)),
+    ("comodule-left", "comodule-right", "side", (LEFT, RIGHT)),
+    ("coaction-left", "coaction-right", "side", (LEFT, RIGHT)),
+    ("scaling-left", "scaling-right", "side", (LEFT, RIGHT)),
+    ("embedding-left-beta", "embedding-right-beta", "side", (LEFT, RIGHT)),
+    ("embedding-limit-left", "embedding-limit-right", "side", (LEFT, RIGHT)),
+    ("containment-left", "containment-right", "side", (LEFT, RIGHT)),
+    ("primitive-PL", "primitive-PR", "side", (LEFT, RIGHT)),
+    ("invariance-PL", "invariance-PR", "side", (LEFT, RIGHT)),
+]
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +56,33 @@ def cat():
 def test_registry_shape():
     ids = check_ids()
     assert len(ids) == len(set(ids)) == 29
-    for name, fn in CHECKS.items():
+    for name, (run, summary) in CHECKS.items():
         assert name == name.strip()
-        assert fn.__doc__, f"{name} has no docstring"
-    for name, summary in describe_checks():
-        assert summary
+        assert callable(run), name
+        assert isinstance(summary, str) and summary.strip(), f"{name} has no summary"
+        assert summary == summary.strip() and "\n" not in summary, name
+    assert describe_checks() == [(name, summary) for name, (_, summary) in CHECKS.items()]
+
+
+def test_sided_rows_share_one_check():
+    for first, second, keyword, values in SIDED_PAIRS:
+        one, two = CHECKS[first][0], CHECKS[second][0]
+        assert one.func is two.func, (first, second)
+        assert one.args == two.args == ()
+        assert (one.keywords, two.keywords) == ({keyword: values[0]}, {keyword: values[1]})
+    paired = {cid for first, second, _, _ in SIDED_PAIRS for cid in (first, second)}
+    assert len(paired) == 18
+    # every other row runs its check function directly
+    assert all(not hasattr(run, "func") for cid, (run, _) in CHECKS.items() if cid not in paired)
+
+
+def test_verify_all_slow_set_names_registry_ids():
+    path = ROOT / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.SLOW
+    assert script.SLOW <= set(check_ids())
 
 
 def test_resolve_ids_canonical_order():
@@ -79,7 +122,7 @@ def test_run_check_reports_any_exception_and_the_run_goes_on(cat, monkeypatch):
     def crashes(cat):
         raise KeyError("no such entry")
 
-    monkeypatch.setitem(CHECKS, "determinant", crashes)
+    monkeypatch.setitem(CHECKS, "determinant", (crashes, CHECKS["determinant"][1]))
     reports = [run_check(cat, check_id) for check_id in resolve_ids(FAST[:3])]
     assert [r.check_id for r in reports] == FAST[:3]
     pbw, det, grouplike = reports
@@ -110,6 +153,7 @@ def test_list_flag(capsys):
     assert len(lines) == 29
     listed = [line.split()[0] for line in lines]
     assert listed == list(check_ids())
+    assert out == LIST_FIXTURE.read_text()
 
 
 def test_text_run_passes(capsys):

@@ -31,26 +31,34 @@ def test_sympy_stays_inside_scalars():
 # pairing (DualPairing and its transpose T)
 SIDE_NAMES = {"left", "right", "fun", "env"}
 
+# the two Side values, which only jordanian.py may tell apart by identity
+SIDE_CONSTANTS = {"LEFT", "RIGHT"}
+
 # catalog.py reads "env" and "fun" as keywords of a pairing block in a file
 SIDE_SCAN_EXEMPT = {"catalog.py"}
 
 
-def side_string_comparisons(path):
-    """(line, source) of each ==, != or in test against a SIDE_NAMES string."""
+def side_comparisons(path):
+    """(line, source) of each ==, !=, in, is or is not test against a
+    SIDE_NAMES string or, outside jordanian.py, against LEFT or RIGHT."""
 
-    def is_side_literal(node):
+    def is_side_operand(node):
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(is_side_literal(e) for e in node.elts)
-        return isinstance(node, ast.Constant) and node.value in SIDE_NAMES
+            return any(is_side_operand(e) for e in node.elts)
+        if isinstance(node, ast.Constant):
+            return node.value in SIDE_NAMES
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in SIDE_CONSTANTS and path.name != "jordanian.py"
 
+    branching = (ast.Eq, ast.NotEq, ast.In, ast.NotIn, ast.Is, ast.IsNot)
     source = path.read_text()
     hits = []
     for node in ast.walk(ast.parse(source, filename=str(path))):
         if not isinstance(node, ast.Compare):
             continue
-        if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+        if not any(isinstance(op, branching) for op in node.ops):
             continue
-        if any(is_side_literal(x) for x in [node.left, *node.comparators]):
+        if any(is_side_operand(x) for x in [node.left, *node.comparators]):
             hits.append((node.lineno, ast.get_source_segment(source, node)))
     return hits
 
@@ -64,14 +72,17 @@ def test_side_scan_sees_string_branches(tmp_path):
         '    return side not in ("left", "right")\n'
         'def g(side):\n'
         '    return 1 if side == "fun" else 2\n'
+        'def k(side):\n'
+        '    return side.shift if side is RIGHT else jordanian.LEFT != side\n'
     )
-    assert [line for line, _ in side_string_comparisons(probe)] == [2, 4, 6]
+    assert [line for line, _ in side_comparisons(probe)] == [2, 4, 6, 8, 8]
 
 
 def test_sides_are_data_not_strings():
     """jordanian.Side is the one encoding of the two sphere families and
     DualPairing.T the one encoding of the pairing's two directions: no
-    module branches on the strings "left", "right", "fun" or "env"."""
+    module branches on the strings "left", "right", "fun" or "env", and
+    none but jordanian.py on which Side it holds."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in SIDE_SCAN_EXEMPT]
-    offenders = {p.name: hits for p in modules if (hits := side_string_comparisons(p))}
+    offenders = {p.name: hits for p in modules if (hits := side_comparisons(p))}
     assert offenders == {}
