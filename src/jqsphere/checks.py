@@ -41,7 +41,7 @@ from .jordanian import (
     SPHERE_LEFT,
     SPHERE_RIGHT,
 )
-from .ncalg import FreePoly, collect, substitute_poly
+from .ncalg import FreePoly, clear_denominators, collect, collect_cleared, substitute_poly
 from .pairing import (
     check_invariance,
     check_pairing_annihilates,
@@ -337,10 +337,10 @@ def _embedded_generators(cat, side, emb_name):
 
 def check_invariance_components(cat, side):
     act = side.action(cat.pairing())
-    element = cat.element(f"{side.element}_cleared")
+    element, den = clear_denominators(cat.element(f"{side.element}_cleared"))
     residuals = []
     for label, x in _embedded_generators(cat, side, side.embed):
-        collect(residuals, label, act(element, x))
+        collect_cleared(residuals, label, den, act(element, x))
     return residuals, cat.describe(cat.bindings)
 
 

@@ -11,9 +11,18 @@ Names resolve to parameters (scalars) or generators (polynomials); '@'
 builds simple tensors.  Scalars commute with everything, generator
 products stay in written order.  Errors carry line and column positions
 into CatalogParseError.
+
+Every number must print in a report, so neither a numeral nor a
+coefficient of the parsed value may have more digits than Python's
+int-to-str limit allows.  A scalar power is sized from the bit length of
+its base's leading coefficient before it is computed, so 2^99999999 is
+rejected without being evaluated.
 """
 
 from __future__ import annotations
+
+import functools
+import sys
 
 from . import scalars as sc
 from .errors import AlgebraMismatch, CatalogParseError
@@ -29,8 +38,23 @@ class Token:
         self.col = col
 
 
+# Python's default int-to-str limit, used when the limit is switched off
+_DEFAULT_MAX_DIGITS = 4300
+
+
+def max_digits():
+    """The most decimal digits a number in an expression may have."""
+    return sys.get_int_max_str_digits() or _DEFAULT_MAX_DIGITS
+
+
+@functools.lru_cache(maxsize=None)
+def _power_of_ten(digits):
+    return 10**digits
+
+
 def tokenize(text, path="<expr>", line=1, col_offset=0):
     out = []
+    limit = max_digits()
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -42,6 +66,10 @@ def tokenize(text, path="<expr>", line=1, col_offset=0):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > limit:
+                raise CatalogParseError(
+                    f"numeral of {j - i} digits; at most {limit} are allowed", path, line, col
+                )
             out.append(Token("num", text[i:j], col))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -76,6 +104,9 @@ class _Parser:
         self.tensor_slots = tensor_slots
         self.path = path
         self.line = line
+        self.digits = max_digits()
+        # the least integer with too many digits
+        self.too_big = _power_of_ten(self.digits)
 
     def fail(self, message, tok=None):
         tok = tok or self.peek()
@@ -90,11 +121,18 @@ class _Parser:
         return tok
 
     def parse(self):
+        start = self.peek()
         value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected {tok.text!r} after expression", tok)
+        coeffs = (value,) if _is_scalar(value) else value.terms.values()
+        if any(sc.height(c) >= self.too_big for c in coeffs):
+            self.too_large(start)
         return value
+
+    def too_large(self, start):
+        self.fail(f"number of more than {self.digits} digits", start)
 
     def expr(self):
         value = self.term()
@@ -128,6 +166,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "-":
             self.take()
             return -self.factor()
+        start = tok
         value = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -135,7 +174,14 @@ class _Parser:
             exp = self.take()
             if exp.kind != "num":
                 self.fail("exponent must be a nonnegative integer", exp)
-            return value ** int(exp.text)
+            n = int(exp.text)
+            # value^n has a coefficient of height lead_height(value)^n,
+            # which is 2^((b - 1) n) or more for a lead height of b bits
+            if _is_scalar(value):
+                b = sc.lead_height(value).bit_length()
+                if (b - 1) * n >= self.too_big.bit_length():
+                    self.too_large(start)
+            return value**n
         return value
 
     def atom(self):

@@ -319,6 +319,27 @@ def collect(residuals, label, got, want=None):
         residuals.append((label, sc.render(got)))
 
 
+def clear_denominators(p: FreePoly):
+    """(D * p, D) for D the common denominator of p's coefficients, so
+    that D * p has polynomial coefficients (D is ONE if p has already)."""
+    den = sc.common_denominator(p.terms.values())
+    return p.scale(den), den
+
+
+def collect_cleared(residuals, label, den, got, want=None):
+    """collect for FreePoly values that are den times the values meant,
+    as computed from an element cleared by clear_denominators.  got and
+    want are compared as they are; only a nonzero difference is divided
+    by den, so the residual reads as for the uncleared element and a
+    passing comparison does no fraction arithmetic."""
+    if want is not None:
+        if got == want:
+            return
+        got = got - want
+    if not got.is_zero():
+        collect(residuals, label, got / den)
+
+
 def substitute_poly(p: FreePoly, bindings) -> FreePoly:
     """Apply a parameter substitution to every coefficient."""
     if not bindings:

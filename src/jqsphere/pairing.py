@@ -16,6 +16,14 @@ pair_words takes words; pair takes polynomials and reduces them to
 normal form first.  The invariance check takes the action as a function
 act(u, a), bound to left_action or, with its arguments swapped, to
 right_action.  Checks gather their residuals through ncalg.collect.
+
+The invariance elements carry k/rho and kprime/rhoprime, and every
+scalar operation on a fraction cancels a gcd.  The action is linear in
+its element, so check_invariance clears the element's denominator D
+once (ncalg.clear_denominators), acts with D * element in the
+polynomial ring, and divides a residual by D only when it is nonzero
+(ncalg.collect_cleared): a passing check does no fraction arithmetic,
+and a failing one reports the same residual as the element itself.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import functools
 
 from . import scalars as sc
-from .ncalg import FreePoly, collect
+from .ncalg import FreePoly, clear_denominators, collect, collect_cleared
 from .hopf import HopfStructure
 
 
@@ -216,21 +224,30 @@ def check_invariance(dp: DualPairing, element: FreePoly, generators, act) -> lis
     """element annihilates each given function-algebra polynomial and all
     their pairwise products under the action act(u, a); products are
     checked twice, directly and by splitting element's coproduct across
-    the two factors."""
+    the two factors.
+
+    The action is linear in element, so everything runs on D * element,
+    whose coefficients are polynomials (D clears the denominators of
+    k/rho and kprime/rhoprime): no action, product or split meets a
+    fraction.  A residual is divided by D only once it is known to be
+    nonzero, and product-split compares the two D-fold values before
+    dividing their difference, so a failure reports the same value as
+    for element itself."""
+    element, den = clear_denominators(element)
     bad = []
     gens = list(generators)
     for label, a in gens:
-        collect(bad, f"gen:{label}", act(element, a))
+        collect_cleared(bad, f"gen:{label}", den, act(element, a))
     split = dp.env.coproduct(dp.env.system.normal_form(element))
     upoly = functools.partial(FreePoly.from_word, dp.env.alg)
     for la, a in gens:
         for lb, b in gens:
             direct = act(element, dp.fun.system.normal_form(a * b))
-            collect(bad, f"product:{la}*{lb}", direct)
+            collect_cleared(bad, f"product:{la}*{lb}", den, direct)
             parts = (
                 (act(upoly(u1), a) * act(upoly(u2), b)).scale(c)
                 for (u1, u2), c in split.terms.items()
             )
             crossed = dp.fun.system.normal_form(FreePoly.combine((dp.fun.alg,), parts))
-            collect(bad, f"product-split:{la}*{lb}", crossed, direct)
+            collect_cleared(bad, f"product-split:{la}*{lb}", den, crossed, direct)
     return bad

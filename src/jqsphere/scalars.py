@@ -245,6 +245,47 @@ def is_zero(x) -> bool:
     return not x
 
 
+def common_denominator(values):
+    """The lcm of the denominators of the scalars values, as a
+    polynomial: ONE when every value is a polynomial.  Each value times
+    it is a polynomial."""
+    den = RING.one
+    for x in values:
+        v = x._v
+        if type(v) is not PolyElement:
+            den = den.lcm(v.denom)
+    return Scalar(den)
+
+
+def _height(c):
+    """The larger of |numerator| and denominator of a rational."""
+    return max(abs(int(c.numerator)), int(c.denominator))
+
+
+def height(x) -> int:
+    """The largest height among the rational coefficients of x; 0 for
+    the zero scalar."""
+    v = x._v
+    polys = (v,) if type(v) is PolyElement else (v.numer, v.denom)
+    return max((_height(c) for p in polys for c in p.itercoeffs()), default=0)
+
+
+def lead_height(x) -> int:
+    """The height of the graded-lex leading coefficient of x, or of the
+    numerator's over the denominator's for a fraction, as rendered; 0
+    for the zero scalar.  The leading term of a power is the power of
+    the leading term, so x^n has a coefficient of height
+    lead_height(x)^n."""
+    v = x._v
+    if not v:
+        return 0
+    if type(v) is PolyElement:
+        c = _lead(v)
+    else:
+        c = _lead(v.numer) / _lead(v.denom)
+    return _height(c)
+
+
 def _eval_poly(poly, repl):
     """Evaluate a polynomial payload under a partial assignment
     {gen index: Scalar}, keeping unassigned generators."""

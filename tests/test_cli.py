@@ -185,6 +185,14 @@ def test_bad_set_value_exits_2(capsys):
     assert code == 2 and "unknown parameter" in err
 
 
+def test_oversized_numbers_exit_2_with_a_position(capsys):
+    for value in ("10^5000", "10^3000*10^3000", "1" * 5000):
+        code, out, err = run_cli(capsys, "determinant", "--set", f"h={value}")
+        assert code == 2 and not out
+        assert err.startswith("error: <--set>:1:1: ") and "digits" in err
+        assert "Traceback" not in err
+
+
 def test_set_accepts_expressions(capsys):
     code, out, _ = run_cli(
         capsys, "determinant", "--set", "beta=rho^2 + 2*k^2", "--set", "h=1"

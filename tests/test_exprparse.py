@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from jqsphere import scalars as sc
 from jqsphere.errors import CatalogParseError
-from jqsphere.exprparse import gen_map, parse_scalar, parse_value, tokenize
+from jqsphere.exprparse import gen_map, max_digits, parse_scalar, parse_value, tokenize
 from jqsphere.ncalg import Algebra, FreePoly
 
 A = Algebra("demo", ("x", "y"))
@@ -172,6 +172,54 @@ def test_line_and_column_offsets_carry_through():
     assert e.column == 12 + 5
     toks = tokenize("a b", "p", 3, 10)
     assert [t.col for t in toks] == [11, 13, 14]
+
+
+def test_numerals_must_print():
+    limit = max_digits()
+    assert parse("9" * limit) == sc.ensure_scalar(int("9" * limit))
+    e = err("x + " + "1" * (limit + 1))
+    assert f"numeral of {limit + 1} digits" in e.message
+    assert e.column == 5
+
+
+def test_huge_constant_powers_are_sized_before_they_are_computed():
+    # each of these would take minutes or gigabytes to evaluate
+    for text, column in (
+        ("2^99999999", 1),
+        ("h + (1/2)^99999999", 5),
+        ("x*(-3)^99999999", 3),
+        ("(3*h + 1)^99999999", 1),
+        ("(h/(2*h + 1))^99999999", 1),
+    ):
+        e = err(text)
+        assert "more than" in e.message and "digits" in e.message
+        assert e.column == column
+    assert parse("1^99999999") == sc.ONE
+    assert parse("(-1)^99999999") == -sc.ONE
+    assert parse("0^99999999") == sc.ZERO
+    assert parse("(h + 1)^0") == sc.ONE
+
+
+def test_values_must_print():
+    limit = max_digits()
+    big = f"10^{limit - 1}"  # limit digits: the largest power of ten that prints
+    assert parse(big) == sc.ensure_scalar(10 ** (limit - 1))
+    # only the value must print, not each step on the way to it
+    assert parse(f"{big}*10/100") == sc.ensure_scalar(10 ** (limit - 2))
+    for text in (
+        f"{big}*10",
+        f"1 + {big}*10",
+        f"h*{big}*10",
+        f"9*{big} + 9*{big}",
+        f"(x - 1)*{big}*10",
+        f"(x - 1) * (h/{big}/10)",
+        f"(x@x)*{big}*10",
+        f"(h*{big})^2",
+        "3^9100",
+    ):
+        e = err(text, tensor_slots=(A, A))
+        assert f"more than {limit} digits" in e.message, text
+        assert e.column == 1, text
 
 
 # -- randomized agreement with direct arithmetic -----------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jqsphere import scalars as sc
+from jqsphere.checks import run_check
 from jqsphere.hopf import HopfStructure
 from jqsphere.jordanian import build_catalog
 from jqsphere.ncalg import FreePoly
@@ -210,6 +211,22 @@ def test_twisted_primitive_checker():
 def test_invariance_checker_reports_failures():
     out = check_invariance(DP, H, [("b", B)], DP.left_action)
     assert ("gen:b", "-b") in out
+    # the action is linear: k/rho * H sends b to -(k/rho) b
+    out = check_invariance(DP, H.scale(sc.k / sc.rho), [("b", B)], DP.left_action)
+    assert ("gen:b", B.scale(-sc.k / sc.rho).render()) in out
+
+
+@pytest.mark.parametrize("check_id", ["invariance-PL", "invariance-PR", "invariance-products"])
+def test_passing_invariance_does_no_fraction_arithmetic(check_id, monkeypatch):
+    # every field operation ends in scalars._demote; the ring operations
+    # do not.  The elements carry k/rho and kprime/rhoprime, and clearing
+    # them takes one field multiplication per fractional coefficient.
+    calls = []
+    demote = sc._demote
+    monkeypatch.setattr(sc, "_demote", lambda f: calls.append(f) or demote(f))
+    report = run_check(CAT, check_id)
+    assert report.status == "pass"
+    assert len(calls) <= 50
 
 
 # -- construction validation ---------------------------------------------

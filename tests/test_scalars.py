@@ -32,6 +32,50 @@ def test_division_by_zero():
         sc.rational(1, 0)
 
 
+def test_height():
+    assert sc.height(sc.ZERO) == 0
+    assert sc.height(sc.rational(-22, 7)) == 22
+    assert sc.height(sc.rational(-3, 7) * sc.h + 5) == 7
+    assert sc.height(sc.ONE / sc.rho) == 1
+
+
+def test_lead_height_is_the_height_of_the_leading_coefficient_of_powers():
+    assert sc.lead_height(sc.ZERO) == 0
+    assert sc.lead_height(sc.rational(-22, 7)) == 22
+    x = sc.rational(-5, 3) * sc.h**2 + 100 * sc.k + 1
+    assert sc.lead_height(x) == 5
+    assert sc.lead_height(x**7) == 5**7
+    f = (sc.rational(4, 3) * sc.h + 1) / (2 * sc.rho + 1)
+    assert sc.lead_height(f) == 3
+    assert sc.lead_height(f**5) == 3**5
+
+
+def test_common_denominator_of_polynomials_is_one():
+    assert sc.common_denominator([]) == sc.ONE
+    assert sc.common_denominator([sc.h, sc.rational(3, 2), sc.ZERO, sc.k * sc.rho]) == sc.ONE
+
+
+def test_common_denominator_is_the_lcm():
+    assert sc.common_denominator([sc.k / sc.rho, sc.kprime / sc.rhoprime]) == sc.rho * sc.rhoprime
+    shared = [sc.ONE / (sc.h * sc.rho), sc.k / sc.rho**2, sc.rational(1, 2) * sc.h]
+    assert sc.common_denominator(shared) == sc.h * sc.rho**2
+
+
+def test_common_denominator_clears_every_value():
+    values = [
+        sc.k / sc.rho * (1 + sc.rational(3, 2) * sc.h**2),
+        sc.kprime / sc.rhoprime,
+        (sc.k + 1) / (2 * sc.rho**2),
+        -2 * sc.h,
+    ]
+    den = sc.common_denominator(values)
+    for x in values:
+        cleared = x * den
+        assert sc.common_denominator([cleared]) == sc.ONE
+        assert "/(" not in sc.render(cleared)
+        assert cleared / den == x
+
+
 def test_substitute_basic():
     x = sc.beta - sc.rho**2 - 2 * sc.k**2
     assert sc.is_zero(sc.substitute(x, {"beta": sc.rho**2 + 2 * sc.k**2}))
