@@ -1,19 +1,41 @@
 """Loader for the declarative catalog files.
 
 A catalog is a set of plain-text files made of blocks.  A block starts
-with one of
+with a header line `KIND NAME` and runs until the next header.  '#'
+starts a comment, blank lines separate nothing, and every other line is
+an item: a keyword, then its text.  The kinds and their items are
 
-    algebra NAME      presentation: params, generators, relations
-    morphism NAME     generator images, parity, optional parameter map
-    matrix NAME       labelled square matrix of polynomials
-    element NAME      a single named polynomial
-    pairing NAME      base table of a dual pairing
+    algebra NAME                presentation
+      params P ...              parameters the relations may use
+      generators G ...          required; distinct names, lowest precedence first
+      relation [LABEL:] EXPR    repeats; unlabelled ones are r1, r2, ...
+    morphism NAME               generator images
+      source ALG                required
+      target ALG | ALG @ ALG | scalar     required
+      parity hom | antihom      default hom
+      param P -> EXPR           repeats; the scalar a parameter maps to
+      map G -> EXPR             repeats; one image per source generator
+    matrix NAME                 labelled square matrix of polynomials
+      over ALG                  required
+      rows L ...                required; distinct row and column labels
+      entry ROW COL : EXPR      repeats; every ROW COL pair is needed
+    element NAME                a single named polynomial
+      over ALG                  required, before poly
+      poly EXPR                 required
+    pairing NAME                base table of a dual pairing
+      env ALG                   required; the first factor
+      fun ALG                   required; the second factor
+      pair UGEN AGEN -> EXPR    repeats; a scalar, pairs not listed are 0
 
-and runs until the next block header.  '#' starts a comment, blank lines
-separate nothing.  Generators are listed lowest precedence first; that
-order is what the rewrite systems downstream use.  All expressions stay
-fully symbolic here; parameter bindings are applied by whoever builds
-structures out of the parsed data.
+A keyword that does not repeat may still appear twice; the later line
+wins.  EXPR is the syntax of jqsphere.exprparse; '@' builds tensors and
+is allowed only in the images of a morphism with an ALG @ ALG target.
+Items are read in file order, but relation, map, entry and pair lines
+only after the rest of their block; algebra blocks are built first, so
+any block can refer to an algebra in any file.  The generator order is what the rewrite systems
+downstream use.  All expressions stay fully symbolic here; parameter
+bindings are applied by whoever builds structures out of the parsed
+data.
 """
 
 from __future__ import annotations
@@ -26,8 +48,6 @@ from . import scalars as sc
 from .errors import CatalogParseError
 from .exprparse import gen_map, parse_value
 from .ncalg import Algebra, FreePoly
-
-BLOCK_KINDS = ("algebra", "morphism", "matrix", "element", "pairing")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -88,25 +108,101 @@ class CatalogData:
         return pres.algebra
 
 
+@dataclass(slots=True)
 class _Item:
-    __slots__ = ("keyword", "rest", "rest_col", "line")
+    """One item line: its keyword, the text after it, and where that
+    text sits in the file."""
 
-    def __init__(self, keyword, rest, rest_col, line):
-        self.keyword = keyword
-        self.rest = rest
-        self.rest_col = rest_col  # 0-based offset of rest within the line
-        self.line = line
+    keyword: str
+    rest: str
+    col: int  # 0-based offset of rest within the line
+    line: int
+    path: str
+
+    def fail(self, message, col=None):
+        """Raise at this line: at column col, by default where rest starts."""
+        col = self.col + 1 if col is None else col
+        raise CatalogParseError(message, self.path, self.line, col)
+
+    def split(self, sep, form=None):
+        """(the stripped text before sep, an item for the text after it).
+        Without sep: an error that the keyword needs form, or (None, self)
+        when no form is given."""
+        idx = self.rest.find(sep)
+        if idx < 0:
+            if form:
+                self.fail(f"{self.keyword} needs {form}")
+            return None, self
+        end = idx + len(sep)
+        tail = _Item(self.keyword, self.rest[end:], self.col + end, self.line, self.path)
+        return self.rest[:idx].strip(), tail
+
+    def names(self, what):
+        """The words of rest, which must be distinct."""
+        names = tuple(self.rest.split())
+        if len(set(names)) != len(names):
+            self.fail(f"duplicate {what}")
+        return names
+
+    def param_names(self, names):
+        for n in names:
+            if n not in sc.PARAMS:
+                self.fail(f"unknown parameter {n!r} (have: {', '.join(sc.PARAM_NAMES)})")
+        return tuple(names)
+
+    def gen(self, algebra, name):
+        if name not in algebra.gens:
+            self.fail(f"{algebra.id} has no generator {name!r}")
+        return name
+
+    def parse(self, params=sc.PARAMS, gens=None, tensor_slots=None):
+        """The value of rest; with no gens, always a scalar."""
+        return parse_value(self.rest, params, gens, tensor_slots, self.path, self.line, self.col)
+
+    def element(self, algebra, gens, what, params=sc.PARAMS):
+        """The value of rest in algebra: scalars promote, tensors are refused."""
+        value = self.parse(params, gens)
+        if isinstance(value, sc.Scalar):
+            return FreePoly.unit(algebra, value)
+        if len(value.slots) > 1:
+            self.fail(f"{what} cannot be tensors")
+        return value
 
 
+@dataclass(slots=True)
 class _Block:
-    __slots__ = ("kind", "name", "path", "line", "items")
+    kind: str
+    name: str
+    path: str
+    line: int
+    items: list = field(default_factory=list)
 
-    def __init__(self, kind, name, path, line):
-        self.kind = kind
-        self.name = name
-        self.path = path
-        self.line = line
-        self.items = []
+    def fail(self, message):
+        raise CatalogParseError(message, self.path, self.line, 1)
+
+    def read(self, readers, repeated=(), required=()):
+        """Read the items in file order into fields, one per keyword.
+
+        Each item goes to the reader of its keyword, called as
+        reader(item, fields) with the fields read so far; a reader of
+        None keeps the item itself.  A keyword in repeated collects a
+        list; any other keeps its last value, None when absent, and each
+        keyword in required must be present.
+        """
+        fields = {key: [] if key in repeated else None for key in readers}
+        for item in self.items:
+            if item.keyword not in readers:
+                item.fail(f"unknown item {item.keyword!r} in {self.kind} block", 1)
+            reader = readers[item.keyword]
+            value = item if reader is None else reader(item, fields)
+            if item.keyword in repeated:
+                fields[item.keyword].append(value)
+            else:
+                fields[item.keyword] = value
+        for key in required:
+            if fields[key] is None:
+                self.fail(f"{self.kind} {self.name} is missing '{key}'")
+        return fields
 
 
 def _scan_blocks(text, path):
@@ -119,353 +215,185 @@ def _scan_blocks(text, path):
         m = re.match(r"\s*(\S+)\s*", body)
         keyword = m.group(1)
         rest = body[m.end() :].strip()
-        rest_col = m.end()
-        if keyword in BLOCK_KINDS:
+        item = _Item(keyword, rest, m.end(), lineno, path)
+        if keyword in _KINDS:
             if not rest or not _NAME_RE.match(rest):
-                raise CatalogParseError(
-                    f"{keyword} needs a single identifier name", path, lineno, rest_col + 1
-                )
+                item.fail(f"{keyword} needs a single identifier name")
             current = _Block(keyword, rest, path, lineno)
             blocks.append(current)
+        elif current is None:
+            item.fail(f"{keyword!r} before any block header", 1)
         else:
-            if current is None:
-                raise CatalogParseError(
-                    f"{keyword!r} before any block header", path, lineno, 1
-                )
-            current.items.append(_Item(keyword, rest, rest_col, lineno))
+            current.items.append(item)
     return blocks
 
 
-def _split_arrow(item, block):
-    idx = item.rest.find("->")
-    if idx < 0:
-        raise CatalogParseError(
-            f"{item.keyword} needs '->'", block.path, item.line, item.rest_col + 1
-        )
-    lhs = item.rest[:idx].strip()
-    rhs = item.rest[idx + 2 :]
-    rhs_col = item.rest_col + idx + 2
-    return lhs, rhs, rhs_col
+def _lookup(data):
+    """A reader of an algebra name."""
+    return lambda item, _: data.algebra(item.rest, item.path, item.line)
 
 
-def _split_colon(item, block):
-    idx = item.rest.find(":")
-    if idx < 0:
-        return None, item.rest, item.rest_col
-    label = item.rest[:idx].strip()
-    return label, item.rest[idx + 1 :], item.rest_col + idx + 1
+def _read_generators(item, _):
+    gens = item.names("generator names")
+    if not gens:
+        item.fail("generators line is empty")
+    return gens
 
 
-def _expect_fields(block, fields, required):
-    for name in required:
-        if fields.get(name) is None:
-            raise CatalogParseError(
-                f"{block.kind} {block.name} is missing '{name}'",
-                block.path,
-                block.line,
-                1,
-            )
+def _read_parity(item, _):
+    if item.rest not in ("hom", "antihom"):
+        item.fail("parity must be hom or antihom")
+    return item.rest
 
 
-def _param_scalars(names):
-    return {n: sc.PARAMS[n] for n in names}
+def _read_param(item, _):
+    name, value = item.split("->", "'->'")
+    item.param_names((name,))
+    return name, value.parse()
 
 
-def _check_params(names, block, item):
-    for n in names:
-        if n not in sc.PARAMS:
-            raise CatalogParseError(
-                f"unknown parameter {n!r} (have: {', '.join(sc.PARAM_NAMES)})",
-                block.path,
-                item.line,
-                item.rest_col + 1,
-            )
-
-
-def _one_slot(value, algebra, what, path, line, col):
-    """value as an element of algebra: scalars promote, tensors are refused."""
-    if isinstance(value, sc.Scalar):
-        return FreePoly.unit(algebra, value)
-    if len(value.slots) > 1:
-        raise CatalogParseError(f"{what} cannot be tensors", path, line, col)
-    return value
-
-
-def _build_algebra(block):
-    params = ()
-    gens = None
-    relation_items = []
-    for item in block.items:
-        if item.keyword == "params":
-            params = tuple(item.rest.split())
-            _check_params(params, block, item)
-        elif item.keyword == "generators":
-            gens = tuple(item.rest.split())
-            if not gens:
-                raise CatalogParseError(
-                    "generators line is empty", block.path, item.line, item.rest_col + 1
-                )
-        elif item.keyword == "relation":
-            relation_items.append(item)
-        else:
-            raise CatalogParseError(
-                f"unknown item {item.keyword!r} in algebra block",
-                block.path,
-                item.line,
-                1,
-            )
-    if gens is None:
-        raise CatalogParseError(
-            f"algebra {block.name} has no generators line", block.path, block.line, 1
-        )
-    algebra = Algebra(block.name, gens)
+def _build_algebra(block, data):
+    fields = block.read(
+        {
+            "params": lambda item, _: item.param_names(item.rest.split()),
+            "generators": _read_generators,
+            "relation": None,
+        },
+        repeated=("relation",),
+    )
+    if fields["generators"] is None:
+        block.fail(f"algebra {block.name} has no generators line")
+    params = fields["params"] or ()
+    algebra = Algebra(block.name, fields["generators"])
     gmap = gen_map(algebra)
-    pmap = _param_scalars(params)
+    pmap = {n: sc.PARAMS[n] for n in params}
     relations = []
     counter = 0
-    for item in relation_items:
-        label, expr, col = _split_colon(item, block)
+    for item in fields["relation"]:
+        label, expr = item.split(":")
         if label is None:
             counter += 1
             label = f"r{counter}"
-        value = parse_value(
-            expr, params=pmap, gens=gmap, path=block.path, line=item.line, col_offset=col
-        )
-        value = _one_slot(value, algebra, "relations", block.path, item.line, col + 1)
-        relations.append((label, value))
+        relations.append((label, expr.element(algebra, gmap, "relations", pmap)))
     return Presentation(block.name, algebra, params, relations)
 
 
-def _resolve_target(text, data, block, item):
-    parts = [p.strip() for p in text.split("@")]
+def _resolve_target(item, data):
+    parts = [p.strip() for p in item.rest.split("@")]
     if parts == ["scalar"]:
         return ()
-    if len(parts) <= 2:
-        return tuple(data.algebra(part, block.path, item.line) for part in parts)
-    raise CatalogParseError(
-        "target must be ALG, ALG @ ALG, or scalar", block.path, item.line, item.rest_col + 1
-    )
+    if len(parts) > 2:
+        item.fail("target must be ALG, ALG @ ALG, or scalar")
+    return tuple(data.algebra(part, item.path, item.line) for part in parts)
 
 
 def _build_morphism(block, data):
-    source = target = None
-    parity = "hom"
-    param_map = {}
-    image_items = []
-    for item in block.items:
-        if item.keyword == "source":
-            source = data.algebra(item.rest, block.path, item.line)
-        elif item.keyword == "target":
-            target = _resolve_target(item.rest, data, block, item)
-        elif item.keyword == "parity":
-            if item.rest not in ("hom", "antihom"):
-                raise CatalogParseError(
-                    "parity must be hom or antihom", block.path, item.line, item.rest_col + 1
-                )
-            parity = item.rest
-        elif item.keyword == "param":
-            name, rhs, col = _split_arrow(item, block)
-            _check_params((name,), block, item)
-            value = parse_value(
-                rhs, params=dict(sc.PARAMS), path=block.path, line=item.line, col_offset=col
-            )
-            if not isinstance(value, sc.Scalar):
-                raise CatalogParseError(
-                    "parameter images must be scalars", block.path, item.line, col + 1
-                )
-            param_map[name] = value
-        elif item.keyword == "map":
-            image_items.append(item)
-        else:
-            raise CatalogParseError(
-                f"unknown item {item.keyword!r} in morphism block",
-                block.path,
-                item.line,
-                1,
-            )
-    fields = {"source": source, "target": target}
-    _expect_fields(block, fields, ("source", "target"))
+    fields = block.read(
+        {
+            "source": _lookup(data),
+            "target": lambda item, _: _resolve_target(item, data),
+            "parity": _read_parity,
+            "param": _read_param,
+            "map": None,
+        },
+        repeated=("param", "map"),
+        required=("source", "target"),
+    )
+    source, target = fields["source"], fields["target"]
     gens = {}
     for alg in target:
         for name, poly in gen_map(alg).items():
             if name in gens and gens[name].alg is not alg:
-                raise CatalogParseError(
-                    f"generator name {name!r} is ambiguous between tensor slots",
-                    block.path,
-                    block.line,
-                    1,
-                )
+                block.fail(f"generator name {name!r} is ambiguous between tensor slots")
             gens[name] = poly
-    pmap = dict(sc.PARAMS)
     images = {}
-    for item in image_items:
-        gen_name, rhs, col = _split_arrow(item, block)
-        if gen_name not in source.gens:
-            raise CatalogParseError(
-                f"{source.id} has no generator {gen_name!r}",
-                block.path,
-                item.line,
-                item.rest_col + 1,
-            )
-        value = parse_value(
-            rhs,
-            params=pmap,
-            gens=gens,
-            tensor_slots=target if len(target) == 2 else None,
-            path=block.path,
-            line=item.line,
-            col_offset=col,
-        )
+    for item in fields["map"]:
+        gen_name, rhs = item.split("->", "'->'")
+        item.gen(source, gen_name)
+        value = rhs.parse(gens=gens, tensor_slots=target if len(target) == 2 else None)
         if isinstance(value, sc.Scalar):
             value = FreePoly.scalar(target, value)
         elif value.slots != target:
-            raise CatalogParseError(
+            rhs.fail(
                 "image of a tensor-valued morphism needs '@'"
                 if len(target) == 2
-                else "image of an algebra-valued morphism cannot be a tensor",
-                block.path,
-                item.line,
-                col + 1,
+                else "image of an algebra-valued morphism cannot be a tensor"
             )
         if gen_name in images:
-            raise CatalogParseError(
-                f"duplicate image for {gen_name}", block.path, item.line, item.rest_col + 1
-            )
+            item.fail(f"duplicate image for {gen_name}")
         images[gen_name] = value
     missing = [g for g in source.gens if g not in images]
     if missing:
-        raise CatalogParseError(
-            f"morphism {block.name} missing images for: {', '.join(missing)}",
-            block.path,
-            block.line,
-            1,
-        )
-    return MorphismSpec(block.name, source, target, parity, param_map, images)
+        block.fail(f"morphism {block.name} missing images for: {', '.join(missing)}")
+    parity = fields["parity"] or "hom"
+    return MorphismSpec(block.name, source, target, parity, dict(fields["param"]), images)
 
 
 def _build_matrix(block, data):
-    algebra = None
-    labels = None
-    entry_items = []
-    for item in block.items:
-        if item.keyword == "over":
-            algebra = data.algebra(item.rest, block.path, item.line)
-        elif item.keyword == "rows":
-            labels = tuple(item.rest.split())
-            if len(set(labels)) != len(labels):
-                raise CatalogParseError(
-                    "duplicate row labels", block.path, item.line, item.rest_col + 1
-                )
-        elif item.keyword == "entry":
-            entry_items.append(item)
-        else:
-            raise CatalogParseError(
-                f"unknown item {item.keyword!r} in matrix block", block.path, item.line, 1
-            )
-    _expect_fields(block, {"over": algebra, "rows": labels}, ("over", "rows"))
+    fields = block.read(
+        {
+            "over": _lookup(data),
+            "rows": lambda item, _: item.names("row labels"),
+            "entry": None,
+        },
+        repeated=("entry",),
+        required=("over", "rows"),
+    )
+    algebra, labels = fields["over"], fields["rows"]
     gmap = gen_map(algebra)
-    pmap = dict(sc.PARAMS)
     entries = {}
-    for item in entry_items:
-        head, expr, col = _split_colon(item, block)
-        if head is None:
-            raise CatalogParseError(
-                "entry needs 'ROW COL : expr'", block.path, item.line, item.rest_col + 1
-            )
-        rc = head.split()
+    for item in fields["entry"]:
+        head, expr = item.split(":", "'ROW COL : expr'")
+        rc = tuple(head.split())
         if len(rc) != 2 or rc[0] not in labels or rc[1] not in labels:
-            raise CatalogParseError(
-                "entry needs a valid 'ROW COL' pair", block.path, item.line, item.rest_col + 1
-            )
-        value = parse_value(
-            expr, params=pmap, gens=gmap, path=block.path, line=item.line, col_offset=col
-        )
-        entries[(rc[0], rc[1])] = _one_slot(
-            value, algebra, "matrix entries", block.path, item.line, col + 1
-        )
+            item.fail("entry needs a valid 'ROW COL' pair")
+        entries[rc] = expr.element(algebra, gmap, "matrix entries")
     for r in labels:
         for c in labels:
             if (r, c) not in entries:
-                raise CatalogParseError(
-                    f"matrix {block.name} is missing entry {r} {c}",
-                    block.path,
-                    block.line,
-                    1,
-                )
+                block.fail(f"matrix {block.name} is missing entry {r} {c}")
     return MatrixSpec(block.name, algebra, labels, entries)
 
 
+def _read_poly(item, fields):
+    algebra = fields["over"]
+    if algebra is None:
+        item.fail("poly must come after the over line", 1)
+    return item.element(algebra, gen_map(algebra), "elements")
+
+
 def _build_element(block, data):
-    algebra = None
-    poly = None
-    for item in block.items:
-        if item.keyword == "over":
-            algebra = data.algebra(item.rest, block.path, item.line)
-        elif item.keyword == "poly":
-            if algebra is None:
-                raise CatalogParseError(
-                    "poly must come after the over line", block.path, item.line, 1
-                )
-            value = parse_value(
-                item.rest,
-                params=dict(sc.PARAMS),
-                gens=gen_map(algebra),
-                path=block.path,
-                line=item.line,
-                col_offset=item.rest_col,
-            )
-            poly = _one_slot(
-                value, algebra, "elements", block.path, item.line, item.rest_col + 1
-            )
-        else:
-            raise CatalogParseError(
-                f"unknown item {item.keyword!r} in element block", block.path, item.line, 1
-            )
-    _expect_fields(block, {"over": algebra, "poly": poly}, ("over", "poly"))
-    return ElementSpec(block.name, algebra, poly)
+    fields = block.read(
+        {"over": _lookup(data), "poly": _read_poly}, required=("over", "poly")
+    )
+    return ElementSpec(block.name, fields["over"], fields["poly"])
 
 
 def _build_pairing(block, data):
-    env = fun = None
-    pair_items = []
-    for item in block.items:
-        if item.keyword == "env":
-            env = data.algebra(item.rest, block.path, item.line)
-        elif item.keyword == "fun":
-            fun = data.algebra(item.rest, block.path, item.line)
-        elif item.keyword == "pair":
-            pair_items.append(item)
-        else:
-            raise CatalogParseError(
-                f"unknown item {item.keyword!r} in pairing block", block.path, item.line, 1
-            )
-    _expect_fields(block, {"env": env, "fun": fun}, ("env", "fun"))
+    fields = block.read(
+        {"env": _lookup(data), "fun": _lookup(data), "pair": None},
+        repeated=("pair",),
+        required=("env", "fun"),
+    )
+    env, fun = fields["env"], fields["fun"]
     table = {}
-    for item in pair_items:
-        lhs, rhs, col = _split_arrow(item, block)
+    for item in fields["pair"]:
+        lhs, rhs = item.split("->", "'->'")
         names = lhs.split()
         if len(names) != 2:
-            raise CatalogParseError(
-                "pair needs 'UGEN AGEN -> value'", block.path, item.line, item.rest_col + 1
-            )
-        ug, ag = names
-        if ug not in env.gens:
-            raise CatalogParseError(
-                f"{env.id} has no generator {ug!r}", block.path, item.line, item.rest_col + 1
-            )
-        if ag not in fun.gens:
-            raise CatalogParseError(
-                f"{fun.id} has no generator {ag!r}", block.path, item.line, item.rest_col + 1
-            )
-        value = parse_value(
-            rhs, params=dict(sc.PARAMS), path=block.path, line=item.line, col_offset=col
-        )
-        if not isinstance(value, sc.Scalar):
-            raise CatalogParseError(
-                "pairing values must be scalars", block.path, item.line, col + 1
-            )
-        table[(ug, ag)] = value
+            item.fail("pair needs 'UGEN AGEN -> value'")
+        table[(item.gen(env, names[0]), item.gen(fun, names[1]))] = rhs.parse()
     return PairingSpec(block.name, env, fun, table)
+
+
+# block kind -> (builder, the CatalogData table it fills)
+_KINDS = {
+    "algebra": (_build_algebra, "presentations"),
+    "morphism": (_build_morphism, "morphisms"),
+    "matrix": (_build_matrix, "matrices"),
+    "element": (_build_element, "elements"),
+    "pairing": (_build_pairing, "pairings"),
+}
 
 
 def load_catalog(paths) -> CatalogData:
@@ -484,34 +412,22 @@ def load_catalog(paths) -> CatalogData:
             files.append(p)
     if not files:
         raise CatalogParseError("no catalog files found", str(paths), 0, 0)
-    all_blocks = []
+    blocks = []
     for f in files:
         try:
-            text = f.read_text()
-        except OSError as exc:
+            text = f.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise CatalogParseError(f"cannot read: {exc}", str(f), 0, 0) from None
-        all_blocks.extend(_scan_blocks(text, str(f)))
+        blocks.extend(_scan_blocks(text, str(f)))
     data = CatalogData()
-
-    def register(table, key, value, block):
-        if key in table:
-            raise CatalogParseError(
-                f"duplicate {block.kind} {key!r}", block.path, block.line, 1
-            )
-        table[key] = value
-
-    for block in all_blocks:
-        if block.kind == "algebra":
-            register(data.presentations, block.name, _build_algebra(block), block)
-    for block in all_blocks:
-        if block.kind == "morphism":
-            register(data.morphisms, block.name, _build_morphism(block, data), block)
-        elif block.kind == "matrix":
-            register(data.matrices, block.name, _build_matrix(block, data), block)
-        elif block.kind == "element":
-            register(data.elements, block.name, _build_element(block, data), block)
-        elif block.kind == "pairing":
-            register(data.pairings, block.name, _build_pairing(block, data), block)
+    # a stable sort: algebras first, every kind in file order
+    for block in sorted(blocks, key=lambda block: block.kind != "algebra"):
+        build, name = _KINDS[block.kind]
+        spec = build(block, data)
+        table = getattr(data, name)
+        if block.name in table:
+            block.fail(f"duplicate {block.kind} {block.name!r}")
+        table[block.name] = spec
     return data
 
 

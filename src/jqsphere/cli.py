@@ -17,6 +17,7 @@ from .checks import describe_checks, resolve_ids, run_check
 from .errors import CatalogParseError, UnknownCheckId
 from .exprparse import parse_scalar
 from .jordanian import Catalog
+from .scalars import PARAMS
 
 
 def _parse_set(settings):
@@ -25,7 +26,11 @@ def _parse_set(settings):
         name, sep, value = text.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise CatalogParseError(f"--set wants param=value, got {text!r}")
+            raise CatalogParseError(f"--set wants param=value, got {text!r}", "<--set>", 1, 1)
+        if name not in PARAMS:
+            raise CatalogParseError(
+                f"unknown parameter {name!r} (have: {', '.join(PARAMS)})", "<--set>", 1, 1
+            )
         bindings[name] = parse_scalar(value.strip(), path="<--set>")
     return bindings
 

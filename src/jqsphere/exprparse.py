@@ -14,9 +14,12 @@ into CatalogParseError.
 
 Every number must print in a report, so neither a numeral nor a
 coefficient of the parsed value may have more digits than Python's
-int-to-str limit allows.  A scalar power is sized from the bit length of
-its base's leading coefficient before it is computed, so 2^99999999 is
-rejected without being evaluated.
+int-to-str limit allows.  A power is sized before it is computed: from
+the bit length of its base's leading coefficient, so 2^99999999 is
+rejected without being evaluated, and from its base's keys, longest
+word and coefficient term counts, so neither (h+k+1)^99999999 nor
+x^99999999 is computed: a power may have no more terms, and no longer
+word, than that limit has digits.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ def _is_scalar(v):
 def _width(v):
     """Slot count: 0 for a scalar, 1 for a polynomial, 2 for a tensor."""
     return len(v.slots) if isinstance(v, FreePoly) else 0
+
+
+def _deglex(key):
+    """Sort key of a key of a FreePoly: degree, then words, slot by slot."""
+    return [(len(w), w) for w in key]
 
 
 class _Parser:
@@ -175,14 +183,45 @@ class _Parser:
             if exp.kind != "num":
                 self.fail("exponent must be a nonnegative integer", exp)
             n = int(exp.text)
-            # value^n has a coefficient of height lead_height(value)^n,
-            # which is 2^((b - 1) n) or more for a lead height of b bits
-            if _is_scalar(value):
-                b = sc.lead_height(value).bit_length()
-                if (b - 1) * n >= self.too_big.bit_length():
-                    self.too_large(start)
+            self.check_power(value, n, start)
             return value**n
         return value
+
+    def check_power(self, base, n, start):
+        """Refuse base^n before it is computed when it would have a
+        number, a term count or a word past the digit limit."""
+        if _is_scalar(base):
+            ends, keys, terms, words = (base,), 1, sc.term_count(base), ()
+        elif base.terms:
+            # the deg-lex largest and smallest keys of base^n are those
+            # of base to the n
+            ends = [base.terms[pick(base.terms, key=_deglex)] for pick in (max, min)]
+            keys, terms = len(base.terms), max(map(sc.term_count, base.terms.values()))
+            words = [w for key in base.terms for w in key]
+        else:
+            return
+        # so base^n has a coefficient of height lead_height(c, trailing)^n
+        # for c in ends, which is 2^((b - 1) n) or more for b bits
+        b = max(sc.lead_height(c, t).bit_length() for c in ends for t in (False, True))
+        if (b - 1) * n >= self.too_big.bit_length():
+            self.too_large(start)
+        longest = max(map(len, words), default=0)
+        if longest * n > self.digits:
+            self.fail(f"power with a word of more than {self.digits} letters", start)
+        if n < 2:
+            return
+        # at most keys^n words, or, over one generator, those of at
+        # most longest * n letters; each with a coefficient of at most
+        # C(n + terms - 1, terms - 1) terms
+        size = keys ** min(n, self.digits.bit_length())
+        if len({g for w in words for g in w}) < 2:
+            size = min(size, (longest * n + 1) ** _width(base))
+        for i in range(1, terms):
+            if size > self.digits:
+                break
+            size = size * (n + i) // i
+        if size > self.digits:
+            self.fail(f"power of more than {self.digits} terms", start)
 
     def atom(self):
         tok = self.take()

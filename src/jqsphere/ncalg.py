@@ -226,9 +226,13 @@ class FreePoly:
         return self.scale(sc.ONE / _coeff(other))
 
     def __pow__(self, n: int):
-        out = FreePoly.scalar(self.slots)
-        for _ in range(n):
-            out = out * self
+        out, base = FreePoly.scalar(self.slots), self
+        while n:  # by squaring
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c):

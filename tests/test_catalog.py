@@ -1,6 +1,9 @@
 """Catalog file loading: block scanning, builders, cross references and
 the packaged data files."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from jqsphere import scalars as sc
@@ -88,6 +91,11 @@ def test_duplicate_block_names(tmp_path):
 def test_unknown_item_keyword(tmp_path):
     e = load_err(tmp_path, "algebra a\n generators x\n ralation x\n")
     assert "unknown item 'ralation'" in e.message
+
+
+def test_repeated_generator_is_a_positioned_error(tmp_path):
+    e = load_err(tmp_path, "algebra funh\n generators c a d a\n")
+    assert str(e).endswith("t.cat:2:13: duplicate generator names")
 
 
 def test_missing_generators_line(tmp_path):
@@ -267,9 +275,30 @@ def test_missing_file(tmp_path):
         load_catalog([tmp_path / "nope.cat"])
 
 
+def test_undecodable_file(tmp_path):
+    f = tmp_path / "t.cat"
+    f.write_bytes(b"algebra caf\xe9\n generators x\n")
+    with pytest.raises(CatalogParseError) as info:
+        load_catalog([f])
+    assert str(info.value).startswith(f"{f}:0:0: cannot read: 'utf-8' codec can't decode")
+
+
 def test_empty_directory(tmp_path):
     with pytest.raises(CatalogParseError, match="no catalog files"):
         load_catalog([tmp_path])
+
+
+# one faulty catalog per error the loader can raise, with its message and
+# position; a few hold two faults and pin which one is reported first
+GOLDEN_ERRORS = json.loads(
+    (Path(__file__).parent / "data" / "catalog_errors_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_ERRORS, ids=lambda case: case["case"])
+def test_golden_errors(tmp_path, case):
+    e = load_err(tmp_path, case["text"])
+    assert str(e).replace(str(tmp_path), "<tmp>") == case["error"]
 
 
 def test_packaged_data_loads():

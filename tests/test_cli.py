@@ -3,6 +3,7 @@ parameter binding and catalog overrides."""
 
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -30,6 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # `jqsphere --list`, captured before the registry became a table of rows;
 # only the duality-axioms summary has changed since
 LIST_FIXTURE = ROOT / "tests" / "data" / "list_golden.txt"
+
+# one faulty catalog per loader error, from tests/test_catalog.py
+ERRORS_FIXTURE = ROOT / "tests" / "data" / "catalog_errors_golden.json"
 
 # each mirror pair of rows: (first id, second id, keyword, its two values)
 SIDED_PAIRS = [
@@ -185,6 +189,18 @@ def test_bad_set_value_exits_2(capsys):
     assert code == 2 and "unknown parameter" in err
 
 
+def test_set_without_a_value_is_a_set_error(capsys):
+    code, out, err = run_cli(capsys, "determinant", "--set", "h")
+    assert code == 2 and not out
+    assert err == "error: <--set>:1:1: --set wants param=value, got 'h'\n"
+
+
+def test_set_of_an_unknown_parameter_has_a_position(capsys):
+    code, out, err = run_cli(capsys, "determinant", "--set", "q=1")
+    assert code == 2 and not out
+    assert err.startswith("error: <--set>:1:1: unknown parameter 'q' (have: h, k, ")
+
+
 def test_oversized_numbers_exit_2_with_a_position(capsys):
     for value in ("10^5000", "10^3000*10^3000", "1" * 5000):
         code, out, err = run_cli(capsys, "determinant", "--set", f"h={value}")
@@ -287,6 +303,18 @@ def test_catalog_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--catalog", str(bad), "determinant")
     assert code == 2
     assert "bad.cat:3:" in err
+
+
+def test_every_catalog_fault_exits_2_with_a_position(tmp_path, capsys):
+    bad = tmp_path / "t.cat"
+    position = re.compile(f"error: {re.escape(str(bad))}:[0-9]+:[0-9]+: ")
+    for case in json.loads(ERRORS_FIXTURE.read_text()):
+        bad.write_text(case["text"])
+        code, out, err = run_cli(capsys, "--catalog", str(bad), "determinant")
+        assert code == 2 and not out, case["case"]
+        assert position.match(err), case["case"]
+        assert err == f"error: {case['error'].replace('<tmp>', str(tmp_path))}\n"
+        assert "Traceback" not in err, case["case"]
 
 
 def test_missing_catalog_path_exits_2(tmp_path, capsys):

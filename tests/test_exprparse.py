@@ -222,6 +222,40 @@ def test_values_must_print():
         assert e.column == 1, text
 
 
+def test_large_powers_are_sized_before_they_are_computed():
+    # terms, words and end coefficients each bound the work; every one
+    # of these would run for minutes or without end if it were computed
+    limit = max_digits()
+    funh = Algebra("funh", ("c", "a", "d", "b"))
+    gens = dict(GENS, **gen_map(funh))
+    for text, column, what in (
+        ("x^99999999", 1, "letters"),
+        ("y + x^4301", 5, "letters"),
+        ("(x@x)^99999999", 1, "letters"),
+        ("(2*x)^99999999", 1, "digits"),
+        ("(x - x + 2)^99999999", 1, "digits"),
+        ("(h + 10^4000)^1000", 1, "digits"),
+        ("(h + 10^4000*x)^1000", 1, "digits"),
+        ("(h + 1)^99999", 1, "terms"),
+        ("x*(h + 1)^4300", 3, "terms"),
+        ("(x + y)^13", 1, "terms"),
+        ("(a + b + c + d)^40", 1, "terms"),
+    ):
+        e = err(text, gens=gens, tensor_slots=(A, A))
+        assert f"more than {limit} {what}" in e.message, text
+        assert e.column == column, text
+    for text in ("(h + k + 1)^99999999", "((h + k)/(2 + rho))^99999999"):
+        e = err(text, params=sc.PARAMS)
+        assert e.message == f"power of more than {limit} terms" and e.column == 1
+    # the bounds are exact enough to keep these
+    assert parse("x*(h + 1)^4299") == X.scale((sc.h + 1) ** 4299)
+    assert parse("x^2000") == FreePoly.from_word(A, (0,) * 2000)
+    assert parse("(x - x + 1)^99999999") == FreePoly.unit(A)
+    assert len(parse("(x + 1)^100").terms) == 101
+    assert len(parse("(x + y)^10").terms) == 2**10
+    assert sc.term_count(parse("(h + k + 1)^50", params=sc.PARAMS)) == 1326
+
+
 # -- randomized agreement with direct arithmetic -----------------------
 
 WORDS = st.lists(st.sampled_from("xy"), min_size=1, max_size=6)
