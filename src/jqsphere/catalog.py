@@ -186,13 +186,18 @@ class _Block:
         Each item goes to the reader of its keyword, called as
         reader(item, fields) with the fields read so far; a reader of
         None keeps the item itself.  A keyword in repeated collects a
-        list; any other keeps its last value, None when absent, and each
-        keyword in required must be present.
+        list; any other may appear once and keeps its value, None when
+        absent, and each keyword in required must be present.
         """
         fields = {key: [] if key in repeated else None for key in readers}
+        seen = set()
         for item in self.items:
             if item.keyword not in readers:
                 item.fail(f"unknown item {item.keyword!r} in {self.kind} block", 1)
+            if item.keyword in seen:
+                item.fail(f"second {item.keyword!r} in {self.kind} {self.name}", 1)
+            if item.keyword not in repeated:
+                seen.add(item.keyword)
             reader = readers[item.keyword]
             value = item if reader is None else reader(item, fields)
             if item.keyword in repeated:

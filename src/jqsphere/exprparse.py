@@ -222,6 +222,15 @@ class _Parser:
             size = size * (n + i) // i
         if size > self.digits:
             self.fail(f"power of more than {self.digits} terms", start)
+        # by Parseval on the torus, the squared coefficient magnitudes of
+        # p^n sum to at least M^(2n), for M the largest coefficient
+        # magnitude of a polynomial p; so one of its at most size
+        # coefficients reaches M^n / sqrt(size), and M^n is at least
+        # 2^((m - 1) n) for an M of m bits
+        if _is_scalar(base):
+            m = sc.magnitude(base).bit_length()
+            if 2 * (m - 1) * n >= 2 * self.too_big.bit_length() + size.bit_length():
+                self.too_large(start)
 
     def atom(self):
         tok = self.take()

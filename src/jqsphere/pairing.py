@@ -8,9 +8,18 @@ DualPairing.T is the same pairing read the other way round, <a, u>, so
 the same code run on T peels enveloping-side letters; a word pair goes
 to T when only the enveloping word can be split.  The duality check
 compares both directions on every word pair instead of assuming they
-agree.  Evaluation is memoized on word pairs, one memo per direction;
-the caches are pure and can be cleared at any time without changing
-results.
+agree.
+
+Each word-level value is computed once.  Evaluation is memoized on word
+pairs, one memo per direction; these are the only memos that outlive a
+call, they are pure, and clear_cache empties them without changing
+results.  The recursion splits a word through the coproduct's cached
+word image.  Everything else is reused only within one call: an action
+pairs each word of its paired tensor leg once, the axiom check
+computes each coproduct, antipode and product once in the loop where it
+is invariant, and the invariance check expands a product into its
+normal words by linearity and acts on each distinct word, and with each
+leg of the element's coproduct on each generator, once.
 
 pair_words takes words; pair takes polynomials and reduces them to
 normal form first.  The invariance check takes the action as a function
@@ -85,16 +94,15 @@ class DualPairing:
 
     def _pair_words(self, uw, aw):
         if not uw:
-            return self.fun.counit.scalar(FreePoly.from_word(self.fun.alg, aw))
+            return self.fun.counit.word_image(aw).scalar_value()
         if not aw or (len(aw) == 1 and len(uw) > 1):
             return self.T.pair_words(aw, uw)
         if len(aw) == 1:
             return self.base[(uw[0], aw[0])]
         # <u, g . rest> = sum <u(1), g> <u(2), rest>
         g, rest = aw[:1], aw[1:]
-        split = self.env.coproduct(FreePoly.from_word(self.env.alg, uw))
         total = sc.ZERO
-        for (u1, u2), c in split.terms.items():
+        for (u1, u2), c in self.env.coproduct.word_image(uw).terms.items():
             left = self.pair_words(u1, g)
             if not left:
                 continue
@@ -104,11 +112,13 @@ class DualPairing:
     # -- polynomial level ----------------------------------------------
 
     def pair(self, u: FreePoly, a: FreePoly):
-        un = self.env.system.normal_form(u)
-        an = self.fun.system.normal_form(a)
+        return self._pair_normal(self.env.system.normal_form(u), self.fun.system.normal_form(a))
+
+    def _pair_normal(self, u: FreePoly, a: FreePoly):
+        """<u, a> for u and a already in normal form."""
         total = sc.ZERO
-        for (uw,), cu in un.terms.items():
-            for (aw,), ca in an.terms.items():
+        for (uw,), cu in u.terms.items():
+            for (aw,), ca in a.terms.items():
                 val = self.pair_words(uw, aw)
                 if val:
                     total = total + cu * ca * val
@@ -120,6 +130,7 @@ class DualPairing:
         """The linear form <u, -> on normal function-side words, valued in scalars."""
         terms = self.env.system.normal_form(u).terms.items()
 
+        @functools.cache
         def form(aw):
             total = sc.ZERO
             for (uw,), cu in terms:
@@ -164,26 +175,34 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
         collect(bad, f"unit-fun:{ew[uw]}", dp.pair_words(uw, ()), env.counit.scalar(u))
     for aw, a in fun_polys.items():
         collect(bad, f"unit-env:{fw[aw]}", dp.pair_words((), aw), fun.counit.scalar(a))
+    # coproducts, antipodes and products are computed once, in the loop
+    # they are invariant in, and paired in normal form
+    fun_splits = {aw: fun.coproduct(a).terms.items() for aw, a in fun_polys.items()}
     for uw in short_env:
         for vw in short_env:
-            uv = env_polys[uw] * env_polys[vw]
+            uv = env.system.normal_form(env_polys[uw] * env_polys[vw])
             for aw, a in fun_polys.items():
                 split = sc.ZERO
-                for (a1, a2), c in fun.coproduct(a).terms.items():
+                for (a1, a2), c in fun_splits[aw]:
                     split = split + c * dp.pair_words(uw, a1) * dp.pair_words(vw, a2)
-                collect(bad, f"product-env:{ew[uw]};{ew[vw]};{fw[aw]}", dp.pair(uv, a), split)
+                label = f"product-env:{ew[uw]};{ew[vw]};{fw[aw]}"
+                collect(bad, label, dp._pair_normal(uv, a), split)
+    env_splits = {uw: env.coproduct(u).terms.items() for uw, u in env_polys.items()}
     for aw in short_fun:
         for bw in short_fun:
-            ab = fun_polys[aw] * fun_polys[bw]
+            ab = fun.system.normal_form(fun_polys[aw] * fun_polys[bw])
             for uw, u in env_polys.items():
                 split = sc.ZERO
-                for (u1, u2), c in env.coproduct(u).terms.items():
+                for (u1, u2), c in env_splits[uw]:
                     split = split + c * dp.pair_words(u1, aw) * dp.pair_words(u2, bw)
-                collect(bad, f"product-fun:{ew[uw]};{fw[aw]};{fw[bw]}", dp.pair(u, ab), split)
+                label = f"product-fun:{ew[uw]};{fw[aw]};{fw[bw]}"
+                collect(bad, label, dp._pair_normal(u, ab), split)
+    fun_antipodes = {aw: fun.system.normal_form(fun.antipode(a)) for aw, a in fun_polys.items()}
     for uw, u in env_polys.items():
+        su = env.system.normal_form(env.antipode(u))
         for aw, a in fun_polys.items():
-            got = dp.pair(env.antipode(u), a)
-            collect(bad, f"antipode:{ew[uw]};{fw[aw]}", got, dp.pair(u, fun.antipode(a)))
+            got = dp._pair_normal(su, a)
+            collect(bad, f"antipode:{ew[uw]};{fw[aw]}", got, dp._pair_normal(u, fun_antipodes[aw]))
     return bad
 
 
@@ -238,16 +257,24 @@ def check_invariance(dp: DualPairing, element: FreePoly, generators, act) -> lis
     gens = list(generators)
     for label, a in gens:
         collect_cleared(bad, f"gen:{label}", den, act(element, a))
+    fun = dp.fun
+    # the direct side acts on each normal word of a product once
+    on_word = functools.cache(lambda w: act(element, FreePoly.from_word(fun.alg, w)))
+    # the crossed side acts with each leg of the split on each generator once
     split = dp.env.coproduct(dp.env.system.normal_form(element))
-    upoly = functools.partial(FreePoly.from_word, dp.env.alg)
+    legs = {u for key in split.terms for u in key}
+    on_gen = {
+        (u, la): act(FreePoly.from_word(dp.env.alg, u), a) for u in legs for la, a in gens
+    }
     for la, a in gens:
         for lb, b in gens:
-            direct = act(element, dp.fun.system.normal_form(a * b))
+            words = fun.system.normal_form(a * b).terms.items()
+            direct = FreePoly.combine((fun.alg,), (on_word(w).scale(c) for (w,), c in words))
             collect_cleared(bad, f"product:{la}*{lb}", den, direct)
             parts = (
-                (act(upoly(u1), a) * act(upoly(u2), b)).scale(c)
+                (on_gen[u1, la] * on_gen[u2, lb]).scale(c)
                 for (u1, u2), c in split.terms.items()
             )
-            crossed = dp.fun.system.normal_form(FreePoly.combine((dp.fun.alg,), parts))
+            crossed = fun.system.normal_form(FreePoly.combine((fun.alg,), parts))
             collect_cleared(bad, f"product-split:{la}*{lb}", den, crossed, direct)
     return bad

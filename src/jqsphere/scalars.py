@@ -86,6 +86,11 @@ class Scalar:
         return Scalar(-self._v)
 
     def __mul__(self, other):
+        # the shared ONE is the most common factor of all: skip the payloads
+        if other is ONE:
+            return self
+        if self is ONE and type(other) is Scalar:
+            return other
         b = _payload(other)
         if b is None:
             return NotImplemented
@@ -268,6 +273,15 @@ def height(x) -> int:
     v = x._v
     polys = (v,) if type(v) is PolyElement else (v.numer, v.denom)
     return max((_height(c) for p in polys for c in p.itercoeffs()), default=0)
+
+
+def magnitude(x) -> int:
+    """The integer part of the largest coefficient magnitude of a
+    polynomial x; 0 for a fraction."""
+    v = x._v
+    if type(v) is not PolyElement:
+        return 0
+    return max((abs(int(c.numerator)) // int(c.denominator) for c in v.itercoeffs()), default=0)
 
 
 def term_count(x) -> int:

@@ -317,6 +317,23 @@ def test_every_catalog_fault_exits_2_with_a_position(tmp_path, capsys):
         assert "Traceback" not in err, case["case"]
 
 
+def test_repeated_keyword_exits_2_at_the_second_item(tmp_path, capsys):
+    # a second 'over' would otherwise leave a polynomial over A in an
+    # element of B
+    bad = tmp_path / "t.cat"
+    bad.write_text(
+        "algebra A\n generators x\nalgebra B\n generators y\n"
+        "element e\n over A\n poly x\n over B\n"
+    )
+    code, out, err = run_cli(capsys, "--catalog", str(bad), "determinant")
+    assert code == 2 and not out
+    assert err == f"error: {bad}:8:1: second 'over' in element e\n"
+    bad.write_text("algebra A\n generators x\n  generators y\n")
+    code, out, err = run_cli(capsys, "--catalog", str(bad), "determinant")
+    assert code == 2 and not out
+    assert err == f"error: {bad}:3:1: second 'generators' in algebra A\n"
+
+
 def test_missing_catalog_path_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--catalog", str(tmp_path / "ghost.cat"), "determinant")
     assert code == 2 and "cannot read" in err

@@ -1,5 +1,7 @@
 """Expression grammar: precedence, typed combination and error positions."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +256,40 @@ def test_large_powers_are_sized_before_they_are_computed():
     assert len(parse("(x + 1)^100").terms) == 101
     assert len(parse("(x + y)^10").terms) == 2**10
     assert sc.term_count(parse("(h + k + 1)^50", params=sc.PARAMS)) == 1326
+
+
+def test_large_middle_coefficients_are_sized_before_they_are_computed():
+    # the end coefficients are 1, so only the middle one bounds the power
+    limit = max_digits()
+    assert parse_scalar("(h^2 + 10^4000*h + 1)^1") == sc.h**2 + 10**4000 * sc.h + 1
+    started = time.perf_counter()
+    with pytest.raises(CatalogParseError) as info:
+        parse_scalar("(h^2 + 10^4000*h + 1)^40", path="<--set>")
+    assert time.perf_counter() - started < 0.1
+    assert str(info.value) == f"<--set>:1:1: number of more than {limit} digits"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-1, 1]),
+    st.lists(st.integers(min_value=-(10**300), max_value=10**300), min_size=1, max_size=2),
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=2, max_value=40),
+)
+def test_power_bounds_refuse_only_powers_past_the_limit(low, middle, high, n):
+    # a power refused for its digits really has a coefficient that does
+    # not print; the end coefficients are 1 in magnitude, so only the
+    # middle ones can bound it
+    coeffs = [low, *middle, high]
+    base = sum((c * sc.h**i for i, c in enumerate(coeffs)), sc.ZERO)
+    text = " + ".join(f"({c})*h^{i}" for i, c in enumerate(coeffs))
+    try:
+        value = parse_scalar(f"({text})^{n}")
+    except CatalogParseError as e:
+        if "digits" in e.message:
+            assert sc.height(base**n) >= 10 ** max_digits()
+    else:
+        assert value == base**n
 
 
 # -- randomized agreement with direct arithmetic -----------------------

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from jqsphere import scalars as sc
 from jqsphere.checks import run_check
-from jqsphere.hopf import HopfStructure
-from jqsphere.jordanian import build_catalog
+from jqsphere.hopf import GenMorphism, HopfStructure
+from jqsphere.jordanian import SIDES, build_catalog
 from jqsphere.ncalg import FreePoly
 from jqsphere.pairing import (
     DualPairing,
@@ -227,6 +227,66 @@ def test_passing_invariance_does_no_fraction_arithmetic(check_id, monkeypatch):
     report = run_check(CAT, check_id)
     assert report.status == "pass"
     assert len(calls) <= 50
+
+
+# -- the word-level shortcuts agree with the tensor route -----------------
+
+
+def reference_action(u, a, keep):
+    """u acting on a by the tensor route: the coproduct of a's normal
+    form, its other leg paired term by term, then a normal form."""
+    un = CAT.system("uh").normal_form(u)
+    nf = CAT.system("funh").normal_form
+    t = CAT.hopf("funh").coproduct(nf(a))
+
+    def paired(aw):
+        total = sc.ZERO
+        for (uw,), c in un.terms.items():
+            total = total + c * DP.pair_words(uw, aw)
+        return FreePoly.scalar((), total)
+
+    return nf(t.map_slot(1 - keep, paired, ()))
+
+
+def embedded_generators(side):
+    emb = CAT.morphism(side.embed)
+    sphere = CAT.algebra(side.sphere)
+    return [(g, emb(FreePoly.gen(sphere, g))) for _, g in side.axes]
+
+
+@pytest.mark.parametrize("side", SIDES, ids=lambda side: side.name)
+def test_actions_match_the_tensor_route(side):
+    gens = [x for _, x in embedded_generators(side)]
+    act = side.action(DP)
+    for u in (CAT.element(f"{side.element}_cleared"), H, Y):
+        for a in gens + [x * y for x in gens for y in gens]:
+            assert act(u, a) == reference_action(u, a, side.fun_slot)
+
+
+def test_invariance_products_act_on_each_product_as_a_whole():
+    # H is not invariant: each product residual is H acting on the whole
+    # product, and the crossed side still agrees with the direct one
+    gens = embedded_generators(SIDES[0])
+    out = dict(check_invariance(DP, H, gens, DP.left_action))
+    for la, a in gens:
+        for lb, b in gens:
+            want = reference_action(H, a * b, 0)
+            assert out.get(f"product:{la}*{lb}", "0") == want.render()
+    assert not [label for label in out if label.startswith("product-split:")]
+
+
+def test_duality_axioms_apply_each_morphism_once_per_word(monkeypatch):
+    # each coproduct, antipode and counit is applied once per word, not
+    # once per loop iteration or recursion step (8,126 times in all)
+    calls = []
+    apply = GenMorphism.__call__
+    monkeypatch.setattr(GenMorphism, "__call__", lambda m, p: calls.append(m) or apply(m, p))
+    dp = CAT.pairing()
+    dp.clear_cache()
+    assert run_check(CAT, "duality-axioms").status == "pass"
+    assert len(calls) <= 300
+    # hoisting changes how often a value is asked for, not which values
+    assert (len(dp._memo), len(dp.T._memo)) == (1600, 1025)
 
 
 # -- construction validation ---------------------------------------------

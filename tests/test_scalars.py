@@ -50,6 +50,19 @@ def test_lead_height_is_the_height_of_the_leading_coefficient_of_powers():
     assert sc.lead_height(f**5) == 3**5
 
 
+def test_magnitude_is_the_largest_coefficient_magnitude():
+    assert sc.magnitude(sc.ZERO) == 0
+    assert sc.magnitude(sc.rational(-22, 7)) == 3
+    assert sc.magnitude(sc.h**2 - 10**40 * sc.h + 1) == 10**40
+    assert sc.magnitude(sc.ONE / sc.rho) == 0
+
+
+def test_multiplying_by_the_shared_one_returns_the_other_operand():
+    for x in (sc.ZERO, sc.h, sc.k / sc.rho, sc.rational(3, 2)):
+        assert x * sc.ONE is x
+        assert sc.ONE * x is x
+
+
 def test_common_denominator_of_polynomials_is_one():
     assert sc.common_denominator([]) == sc.ONE
     assert sc.common_denominator([sc.h, sc.rational(3, 2), sc.ZERO, sc.k * sc.rho]) == sc.ONE
