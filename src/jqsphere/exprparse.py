@@ -19,7 +19,9 @@ the bit length of its base's leading coefficient, so 2^99999999 is
 rejected without being evaluated, and from its base's keys, longest
 word and coefficient term counts, so neither (h+k+1)^99999999 nor
 x^99999999 is computed: a power may have no more terms, and no longer
-word, than that limit has digits.
+word, than that limit has digits.  A power of a scalar or of a base over
+one generator is also sized from its base's largest coefficient, so
+(x^2 + 10^4000*x + 1)^40 is rejected before it is computed too.
 """
 
 from __future__ import annotations
@@ -213,8 +215,9 @@ class _Parser:
         # at most keys^n words, or, over one generator, those of at
         # most longest * n letters; each with a coefficient of at most
         # C(n + terms - 1, terms - 1) terms
+        one_generator = len({g for w in words for g in w}) < 2
         size = keys ** min(n, self.digits.bit_length())
-        if len({g for w in words for g in w}) < 2:
+        if one_generator:
             size = min(size, (longest * n + 1) ** _width(base))
         for i in range(1, terms):
             if size > self.digits:
@@ -222,15 +225,26 @@ class _Parser:
             size = size * (n + i) // i
         if size > self.digits:
             self.fail(f"power of more than {self.digits} terms", start)
-        # by Parseval on the torus, the squared coefficient magnitudes of
-        # p^n sum to at least M^(2n), for M the largest coefficient
-        # magnitude of a polynomial p; so one of its at most size
-        # coefficients reaches M^n / sqrt(size), and M^n is at least
-        # 2^((m - 1) n) for an M of m bits
-        if _is_scalar(base):
-            m = sc.magnitude(base).bit_length()
-            if 2 * (m - 1) * n >= 2 * self.too_big.bit_length() + size.bit_length():
-                self.too_large(start)
+        # A scalar, or a base over one generator, is a polynomial p in
+        # commuting variables when no coefficient is a fraction.  By
+        # Parseval on the torus, the squared coefficient magnitudes of
+        # p^n sum to at least M^(2n), for M the largest magnitude among
+        # the t rational coefficients of p; p^n has at most
+        # C(n + t - 1, t - 1) of them, so one reaches M^n divided by the
+        # square root of that count, and M^n is at least 2^((m - 1) n)
+        # for an M of m bits.
+        coeffs = (base,) if _is_scalar(base) else base.terms.values()
+        if not one_generator or sc.common_denominator(coeffs) != sc.ONE:
+            return
+        m = max(map(sc.magnitude, coeffs)).bit_length()
+        spare = 2 * (m - 1) * n - 2 * self.too_big.bit_length()
+        count = 1
+        for i in range(1, sum(map(sc.term_count, coeffs))):
+            if count.bit_length() > spare:
+                return
+            count = count * (n + i) // i
+        if count.bit_length() <= spare:
+            self.too_large(start)
 
     def atom(self):
         tok = self.take()

@@ -23,6 +23,23 @@ result is demoted to a polynomial again as soon as cancellation leaves a
 constant denominator (k/rho * rho is the polynomial k).  Because every
 value has one payload, ==, hash and render need no special cases.
 
+The payload invariants are:
+
+- a polynomial belongs to RING and has no zero coefficient;
+- zero is the empty polynomial;
+- a fraction's denominator is not a constant.
+
+Most operands in the checks are zero, the constant one or a single term
+c*m, and those skip sympy's ring operators, which check rings, copy
+dicts and strip zeros on every call.  x + 0 and 0 + x return x, 0 * x
+returns the zero operand and a product with the constant one returns
+the other factor: payloads are never mutated, so sharing them is safe.
+Two single terms multiply into one term, built directly, and add into
+one term, two, or zero when they cancel; a single term times a
+polynomial scales its terms.  Each shortcut builds the payload sympy
+would have built, so the invariants hold and the rest of the package
+cannot tell them apart.  Only this module reads or wraps a payload.
+
 This module pins the parameter order, the canonical rendering, and the
 substitution semantics so the rest of the package never touches sympy.
 """
@@ -50,7 +67,8 @@ class Scalar:
 
     _v is the canonical payload: a PolyElement of RING, or a FracElement
     of FIELD whose denominator is not constant.  Payloads are never
-    mutated, so scalars may share them.
+    mutated, so scalars may share them, and an operation may return one
+    of its operands.
     """
 
     __slots__ = ("_v",)
@@ -58,77 +76,24 @@ class Scalar:
     def __init__(self, v):
         self._v = v
 
-    def __add__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _add(self._v, b)
-
-    def __radd__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _add(b, self._v)
-
-    def __sub__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _sub(self._v, b)
-
-    def __rsub__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _sub(b, self._v)
-
     def __neg__(self):
         return Scalar(-self._v)
-
-    def __mul__(self, other):
-        # the shared ONE is the most common factor of all: skip the payloads
-        if other is ONE:
-            return self
-        if self is ONE and type(other) is Scalar:
-            return other
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _mul(self._v, b)
-
-    def __rmul__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _mul(b, self._v)
-
-    def __truediv__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _div(self._v, b)
-
-    def __rtruediv__(self, other):
-        b = _payload(other)
-        if b is None:
-            return NotImplemented
-        return _div(b, self._v)
 
     def __pow__(self, n: int):
         if n == 0:
             return ONE  # 0**0 is 1, as for Python numbers
         if n < 0:
-            return _div(RING.one, (self**-n)._v)
+            return _div(ONE, self**-n)
         v = self._v
         if type(v) is PolyElement:
             return Scalar(v**n)
         return _demote(v**n)
 
     def __eq__(self, other):
-        b = _payload(other)
-        if b is None:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        a = self._v
+        a, b = self._v, other._v
         return type(a) is type(b) and a == b
 
     def __hash__(self):
@@ -141,13 +106,33 @@ class Scalar:
         return f"Scalar({render(self)})"
 
 
-def _payload(value):
-    """The payload of a Scalar, int or Fraction operand; None otherwise."""
+def _operand(value):
+    """A Scalar, int or Fraction operand as a Scalar; None otherwise."""
     if type(value) is Scalar:
-        return value._v
+        return value
     if isinstance(value, (int, Fraction)):
-        return ensure_scalar(value)._v
+        return ensure_scalar(value)
     return None
+
+
+def _operators(op):
+    """The forward and reflected operator methods of a binary operation
+    op(x, y) on scalars."""
+
+    def forward(self, other):
+        if type(other) is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return op(self, other)
+
+    def reflected(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return op(other, self)
+
+    return forward, reflected
 
 
 def _demote(f):
@@ -160,47 +145,87 @@ def _demote(f):
     return Scalar(f)
 
 
-# Payload arithmetic.  A polynomial meeting a fraction is lifted by the
-# fraction's own operator, which takes elements of its ring as fractions
-# over one; a PolyElement is never asked to combine with a FracElement,
-# since its fallback builds and discards a coercion error message.
+# Scalar arithmetic.  Most operands in the checks are zero, the constant
+# one or a single term c*m, so those are combined here on the payloads,
+# giving the canonical payload sympy would build; the ring's operators
+# run only for two polynomials of several terms.  A polynomial meeting a
+# fraction is lifted by the fraction's own operator, which takes
+# elements of its ring as fractions over one; a PolyElement is never
+# asked to combine with a FracElement, since its fallback builds and
+# discards a coercion error message.
 
-def _add(a, b):
+_ONE_TERM = (_ZERO_MONOM, QQ.one)
+_monomial_mul = RING.monomial_mul
+
+
+def _term(p):
+    """The (monomial, coefficient) of a single-term polynomial payload,
+    else None."""
+    if type(p) is PolyElement and len(p) == 1:
+        [term] = p.items()
+        return term
+    return None
+
+
+def _binomial(ma, ca, mb, cb):
+    """The scalar ca*ma + cb*mb of two terms."""
+    if ma != mb:
+        return Scalar(PolyElement(RING, {ma: ca, mb: cb}))
+    c = ca + cb
+    return Scalar(PolyElement(RING, {ma: c})) if c else ZERO
+
+
+def _add(x, y):
+    a, b = x._v, y._v
+    if not b:
+        return x
+    if not a:
+        return y
     if type(a) is PolyElement:
         if type(b) is PolyElement:
+            if len(a) == 1 == len(b):
+                [(ma, ca)], [(mb, cb)] = a.items(), b.items()
+                return _binomial(ma, ca, mb, cb)
             return Scalar(a + b)
         a, b = b, a
     return _demote(a + b)
 
 
-def _sub(a, b):
+def _sub(x, y):
+    a, b = x._v, y._v
+    if not b:
+        return x
+    if not a:
+        return Scalar(-b)
     if type(b) is PolyElement:
         if type(a) is PolyElement:
+            if len(a) == 1 == len(b):
+                [(ma, ca)], [(mb, cb)] = a.items(), b.items()
+                return _binomial(ma, ca, mb, -cb)
             return Scalar(a - b)
         return _demote(a - b)
     return _demote(-b + a)
 
 
-def _constant(p):
-    """The coefficient of a nonzero constant polynomial payload, else None."""
-    if type(p) is PolyElement and len(p) == 1:
-        return p.get(_ZERO_MONOM)
-    return None
-
-
-def _mul(a, b):
-    # Most products in the checks have a constant factor, usually 1: it
-    # only scales the coefficients of the other.
-    c = _constant(b)
-    if c is None:
-        c = _constant(a)
-        if c is not None:
-            a, b = b, a
-    if c is not None:
-        if c == QQ.one:
-            return Scalar(a)
-        if type(a) is PolyElement:
-            return Scalar(a.mul_ground(c))
+def _mul(x, y):
+    a, b = x._v, y._v
+    if not a:
+        return x
+    if not b:
+        return y
+    ta, tb = _term(a), _term(b)
+    if ta == _ONE_TERM:
+        return y
+    if tb == _ONE_TERM:
+        return x
+    if ta is not None:
+        if tb is not None:
+            (ma, ca), (mb, cb) = ta, tb
+            return Scalar(PolyElement(RING, {_monomial_mul(ma, mb): ca * cb}))
+        if type(b) is PolyElement:
+            return Scalar(b.mul_term(ta))
+    elif tb is not None and type(a) is PolyElement:
+        return Scalar(a.mul_term(tb))
     if type(a) is PolyElement:
         if type(b) is PolyElement:
             return Scalar(a * b)
@@ -208,7 +233,8 @@ def _mul(a, b):
     return _demote(a * b)
 
 
-def _div(a, b):
+def _div(x, y):
+    a, b = x._v, y._v
     if not b:
         raise DivisionByZero("division by the zero scalar")
     if type(b) is PolyElement:
@@ -219,6 +245,12 @@ def _div(a, b):
     elif type(a) is PolyElement:
         return _demote(FIELD.new(a * b.denom, b.numer))
     return _demote(a / b)
+
+
+Scalar.__add__, Scalar.__radd__ = _operators(_add)
+Scalar.__sub__, Scalar.__rsub__ = _operators(_sub)
+Scalar.__mul__, Scalar.__rmul__ = _operators(_mul)
+Scalar.__truediv__, Scalar.__rtruediv__ = _operators(_div)
 
 
 #: generator lookup by name

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from jqsphere.checks import (
 )
 from jqsphere.cli import main
 from jqsphere.errors import UnknownCheckId
+from jqsphere.exprparse import max_digits
 from jqsphere.jordanian import ENV, FUN, LEFT, RIGHT, build_catalog
 
 FAST = ["pbw-funh", "determinant", "grouplike-j1", "scaling-left"]
@@ -315,6 +317,17 @@ def test_every_catalog_fault_exits_2_with_a_position(tmp_path, capsys):
         assert position.match(err), case["case"]
         assert err == f"error: {case['error'].replace('<tmp>', str(tmp_path))}\n"
         assert "Traceback" not in err, case["case"]
+
+
+def test_oversized_power_in_a_catalog_exits_2_before_it_is_computed(tmp_path, capsys):
+    # the middle coefficient alone puts the power past the digit limit
+    bad = tmp_path / "t.cat"
+    bad.write_text("algebra A\n generators x\n relation r : (x^2 + 10^4000*x + 1)^40\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "--catalog", str(bad), "determinant")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and not out
+    assert err == f"error: {bad}:3:15: number of more than {max_digits()} digits\n"
 
 
 def test_repeated_keyword_exits_2_at_the_second_item(tmp_path, capsys):

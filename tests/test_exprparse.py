@@ -269,25 +269,47 @@ def test_large_middle_coefficients_are_sized_before_they_are_computed():
     assert str(info.value) == f"<--set>:1:1: number of more than {limit} digits"
 
 
+def test_large_middle_coefficients_of_one_generator_bases_are_sized_first():
+    # a power of a base over one generator is a commutative polynomial,
+    # so the largest-coefficient bound refuses it before it is computed
+    limit = max_digits()
+    for text in ("(x^2 + 10^4000*x + 1)^40", "(x^2 + (10^4000 + h)*x + 1)^40"):
+        started = time.perf_counter()
+        e = err(text)
+        assert time.perf_counter() - started < 1
+        assert e.message == f"number of more than {limit} digits" and e.column == 1
+    # the bound leaves powers with small coefficients alone
+    one = FreePoly.unit(A)
+    assert parse("x^2000") == FreePoly.from_word(A, (0,) * 2000)
+    assert parse("(x + y)^10") == (X + Y) ** 10
+    assert parse("(x + 1)^50") == (X + one) ** 50
+    assert parse("(x + 10^40)^50") == (X + 10**40 * one) ** 50
+    assert parse("(h*x + 1/h)^5") == (sc.h * X + one.scale(1 / sc.h)) ** 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([-1, 1]),
     st.lists(st.integers(min_value=-(10**300), max_value=10**300), min_size=1, max_size=2),
     st.sampled_from([-1, 1]),
     st.integers(min_value=2, max_value=40),
+    st.sampled_from(["h", "x"]),
 )
-def test_power_bounds_refuse_only_powers_past_the_limit(low, middle, high, n):
+def test_power_bounds_refuse_only_powers_past_the_limit(low, middle, high, n, var):
     # a power refused for its digits really has a coefficient that does
     # not print; the end coefficients are 1 in magnitude, so only the
-    # middle ones can bound it
+    # middle ones can bound it, for a scalar base or one over a generator
     coeffs = [low, *middle, high]
-    base = sum((c * sc.h**i for i, c in enumerate(coeffs)), sc.ZERO)
-    text = " + ".join(f"({c})*h^{i}" for i, c in enumerate(coeffs))
+    text = " + ".join(f"({c})*{var}^{i}" for i, c in enumerate(coeffs))
+    g = sc.h if var == "h" else X
+    base = sum((c * g**i for i, c in enumerate(coeffs)), 0 * g)
     try:
-        value = parse_scalar(f"({text})^{n}")
+        value = parse(f"({text})^{n}")
     except CatalogParseError as e:
         if "digits" in e.message:
-            assert sc.height(base**n) >= 10 ** max_digits()
+            power = base**n
+            heights = [sc.height(power)] if var == "h" else map(sc.height, power.terms.values())
+            assert max(heights) >= 10 ** max_digits()
     else:
         assert value == base**n
 

@@ -86,3 +86,44 @@ def test_sides_are_data_not_strings():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in SIDE_SCAN_EXEMPT]
     offenders = {p.name: hits for p in modules if (hits := side_comparisons(p))}
     assert offenders == {}
+
+
+def payload_uses(path):
+    """(line, source) of each read of a ._v attribute and each call of
+    Scalar(...) or <module>.Scalar(...)."""
+    source = path.read_text()
+    hits = []
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "_v":
+            hits.append((node.lineno, ast.get_source_segment(source, node)))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "Scalar":
+                hits.append((node.lineno, ast.get_source_segment(source, node)))
+    return hits
+
+
+def test_payload_scan_sees_reads_and_constructions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'from jqsphere import scalars as sc\n'
+        'def f(x):\n'
+        '    return x._v.numer\n'
+        'def g(v):\n'
+        '    return sc.Scalar(v), Scalar(v)\n'
+        'def k(x):\n'
+        '    return isinstance(x, sc.Scalar) and x.v\n'
+    )
+    assert [line for line, _ in payload_uses(probe)] == [3, 5, 5]
+
+
+def test_the_scalar_payload_stays_inside_scalars():
+    """Only scalars.py reads a Scalar's payload or wraps one, so the
+    payload invariants its arithmetic relies on (a polynomial of
+    scalars.RING with no zero coefficient, zero as the empty polynomial,
+    a fraction only over a non-constant denominator) have one owner."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "scalars.py"]
+    offenders = {p.name: hits for p in modules if (hits := payload_uses(p))}
+    assert offenders == {}
+    assert payload_uses(PACKAGE / "scalars.py")

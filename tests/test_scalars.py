@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
-from sympy.polys.fields import field
+from sympy.polys.fields import FracElement, field
+from sympy.polys.rings import PolyElement
 
 from jqsphere import scalars as sc
 from jqsphere.errors import DenominatorVanishes, DivisionByZero
@@ -61,6 +62,50 @@ def test_multiplying_by_the_shared_one_returns_the_other_operand():
     for x in (sc.ZERO, sc.h, sc.k / sc.rho, sc.rational(3, 2)):
         assert x * sc.ONE is x
         assert sc.ONE * x is x
+
+
+def test_zero_unit_and_single_term_operands_skip_the_ring_operators(monkeypatch):
+    fresh_one, c = sc.ensure_scalar(1), sc.rational(-3, 2)
+    t, u = 2 * sc.h * sc.k, sc.rational(1, 3) * sc.rho**2
+    p = sc.h + sc.k
+    operands = {"c": c, "t": t, "u": u, "p": p}
+    expected = {
+        "t*t": "4*h^2*k^2",
+        "t*u": "2/3*h*k*rho^2",
+        "c*t": "-3*h*k",
+        "c*c": "9/4",
+        "t*p": "2*h^2*k + 2*h*k^2",
+        "c*p": "-3/2*h - 3/2*k",
+        "t+u": "2*h*k + 1/3*rho^2",
+        "t+t": "4*h*k",
+        "c+c": "-3",
+        "t-t": "0",
+        "c-t": "-2*h*k - 3/2",
+    }
+
+    def refuse(*args):
+        raise AssertionError("a ring operator ran")
+
+    for name in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(PolyElement, name, refuse)
+    units = (sc.ONE, fresh_one)
+    for x in (sc.ZERO, *units, c, t, p, sc.k / sc.rho):
+        assert x + sc.ZERO is x and sc.ZERO + x is x and x - sc.ZERO is x
+        assert x * sc.ZERO is sc.ZERO and sc.ZERO * x is sc.ZERO
+        for one in units:
+            if x in units:
+                assert x * one == one * x == sc.ONE
+            else:
+                assert x * one is x and one * x is x
+    assert sc.render(sc.ZERO - t) == "-2*h*k"
+    assert t + 0 is t and 0 + t is t and 1 * t is t and t * 1 is t
+    with pytest.raises(AssertionError, match="ring operator"):
+        p * p
+    for (left, op, right), text in expected.items():
+        a, b = operands[left], operands[right]
+        value = a * b if op == "*" else a + b if op == "+" else a - b
+        assert sc.render(value) == text
+        assert sc.is_zero(value) == (text == "0")
 
 
 def test_common_denominator_of_polynomials_is_one():
@@ -205,10 +250,19 @@ def as_oracle(x):
     return ORACLE(v.as_expr())
 
 
-def assert_canonical(x):
+def assert_canonical(x, value):
+    """x holds the one canonical payload of the oracle value: a
+    polynomial of sc.RING with no zero coefficient, empty exactly when
+    the value is zero, or a fraction whose denominator is not constant."""
     v = x._v
-    if hasattr(v, "denom"):
+    if type(v) is FracElement:
+        assert v.field is sc.FIELD
         assert not v.denom.is_ground, f"constant denominator kept in {sc.render(x)}"
+        assert value != 0
+    else:
+        assert type(v) is PolyElement and v.ring is sc.RING
+        assert all(v.values()), f"zero coefficient kept in {v!r}"
+        assert (not v) == (value == 0)
 
 
 monomials = st.tuples(
@@ -218,17 +272,34 @@ monomials = st.tuples(
 )
 
 
+# the operands the arithmetic treats specially: the shared ZERO and ONE,
+# a fresh constant 1, -1, another constant and single terms
+SPECIAL_LEAVES = [
+    (sc.ZERO, ORACLE.zero),
+    (sc.ONE, ORACLE.one),
+    (sc.ensure_scalar(1), ORACLE.one),
+    (sc.rational(-1), -ORACLE.one),
+    (sc.rational(-5, 2), ORACLE(QQ(-5, 2))),
+    (sc.h, ORACLE_GENS[0]),
+    (sc.rational(2, 3) * sc.k * sc.rho**2, QQ(2, 3) * ORACLE_GENS[1] * ORACLE_GENS[2] ** 2),
+]
+
+
 @st.composite
-def leaves(draw):
-    """A small polynomial, as (scalar, oracle) built side by side."""
+def polynomial_leaves(draw):
+    """A small polynomial, zero included, as (scalar, oracle) built side
+    by side."""
     x, o = sc.ZERO, ORACLE.zero
-    for num, den, exps in draw(st.lists(monomials, min_size=1, max_size=3)):
+    for num, den, exps in draw(st.lists(monomials, min_size=0, max_size=3)):
         term, oterm = sc.rational(num, den), ORACLE(QQ(num, den))
         for name, e in zip(SYMBOLS, exps):
             term = term * sc.PARAMS[name] ** e
             oterm = oterm * ORACLE_GENS[sc.PARAM_NAMES.index(name)] ** e
         x, o = x + term, o + oterm
     return x, o
+
+
+leaves = st.one_of(st.sampled_from(SPECIAL_LEAVES), polynomial_leaves())
 
 
 def combine(children):
@@ -254,7 +325,7 @@ def evaluate(tree):
     return a / b, oa / ob
 
 
-trees = st.recursive(leaves(), combine, max_leaves=5)
+trees = st.recursive(leaves, combine, max_leaves=5)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -262,7 +333,7 @@ trees = st.recursive(leaves(), combine, max_leaves=5)
 def test_arithmetic_matches_a_sympy_field_oracle(tree):
     x, o = evaluate(tree)
     assert as_oracle(x) == o
-    assert_canonical(x)
+    assert_canonical(x, o)
     # another route to the same value lands on the same payload
     y = (x + x) - x
     assert y == x and hash(y) == hash(x) and sc.render(y) == sc.render(x)
@@ -308,7 +379,7 @@ def test_substitution_matches_a_sympy_field_oracle(tree, bindings):
         return
     y = sc.substitute(x, scalar_bindings)
     assert as_oracle(y) == num / den
-    assert_canonical(y)
+    assert_canonical(y, num / den)
 
 
 def test_cancellation_demotes_to_a_polynomial():
@@ -316,7 +387,7 @@ def test_cancellation_demotes_to_a_polynomial():
     assert x == sc.k
     assert hash(x) == hash(sc.k)
     assert sc.render(x) == sc.render(sc.k) == "k"
-    assert_canonical(x)
+    assert_canonical(x, ORACLE_GENS[1])
     assert sc.k / sc.rho - sc.k / sc.rho == sc.ZERO
     assert (sc.h / sc.rho) ** -1 * sc.h == sc.rho
 
