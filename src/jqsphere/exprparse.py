@@ -14,19 +14,22 @@ into CatalogParseError.
 
 Every number must print in a report, so neither a numeral nor a
 coefficient of the parsed value may have more digits than Python's
-int-to-str limit allows.  A power is sized before it is computed: from
-the bit length of its base's leading coefficient, so 2^99999999 is
-rejected without being evaluated, and from its base's keys, longest
-word and coefficient term counts, so neither (h+k+1)^99999999 nor
-x^99999999 is computed: a power may have no more terms, and no longer
-word, than that limit has digits.  A power of a scalar or of a base over
-one generator is also sized from its base's largest coefficient, so
-(x^2 + 10^4000*x + 1)^40 is rejected before it is computed too.
+int-to-str limit allows.  No input may do unbounded work either, so
+every product of parsed values passes one guard before it runs: each
+'*', each '@', each '/' (a product with the divisor's inverse) and each
+step of '^', which is computed by squaring.  The guard takes its three
+limits from that digit limit: the operands may pair at most that many
+coefficient terms, their largest numbers may have at most twice its
+bits together, and their longest words at most that many letters
+together.  So 2^99999999, (h+k+1)^99999999 and x^99999999 are refused
+after a few steps, and so is a product of two powers that are each
+allowed.  Only the final value must print: 10^4299*10/100 parses.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 
 from . import scalars as sc
@@ -101,9 +104,17 @@ def _width(v):
     return len(v.slots) if isinstance(v, FreePoly) else 0
 
 
-def _deglex(key):
-    """Sort key of a key of a FreePoly: degree, then words, slot by slot."""
-    return [(len(w), w) for w in key]
+def _size(v):
+    """(coefficient terms, bits of the largest number, longest word) of
+    a parsed value."""
+    if _is_scalar(v):
+        return sc.term_count(v), sc.height(v).bit_length(), 0
+    coeffs = v.terms.values()
+    return (
+        sum(map(sc.term_count, coeffs)),
+        max(map(sc.height, coeffs), default=0).bit_length(),
+        max(map(len, itertools.chain.from_iterable(v.terms)), default=0),
+    )
 
 
 class _Parser:
@@ -184,67 +195,37 @@ class _Parser:
             exp = self.take()
             if exp.kind != "num":
                 self.fail("exponent must be a nonnegative integer", exp)
-            n = int(exp.text)
-            self.check_power(value, n, start)
-            return value**n
+            return self.power(value, int(exp.text), start)
         return value
 
-    def check_power(self, base, n, start):
-        """Refuse base^n before it is computed when it would have a
-        number, a term count or a word past the digit limit."""
-        if _is_scalar(base):
-            ends, keys, terms, words = (base,), 1, sc.term_count(base), ()
-        elif base.terms:
-            # the deg-lex largest and smallest keys of base^n are those
-            # of base to the n
-            ends = [base.terms[pick(base.terms, key=_deglex)] for pick in (max, min)]
-            keys, terms = len(base.terms), max(map(sc.term_count, base.terms.values()))
-            words = [w for key in base.terms for w in key]
-        else:
-            return
-        # so base^n has a coefficient of height lead_height(c, trailing)^n
-        # for c in ends, which is 2^((b - 1) n) or more for b bits
-        b = max(sc.lead_height(c, t).bit_length() for c in ends for t in (False, True))
-        if (b - 1) * n >= self.too_big.bit_length():
-            self.too_large(start)
-        longest = max(map(len, words), default=0)
-        if longest * n > self.digits:
-            self.fail(f"power with a word of more than {self.digits} letters", start)
-        if n < 2:
-            return
-        # at most keys^n words, or, over one generator, those of at
-        # most longest * n letters; each with a coefficient of at most
-        # C(n + terms - 1, terms - 1) terms
-        one_generator = len({g for w in words for g in w}) < 2
-        size = keys ** min(n, self.digits.bit_length())
-        if one_generator:
-            size = min(size, (longest * n + 1) ** _width(base))
-        for i in range(1, terms):
-            if size > self.digits:
-                break
-            size = size * (n + i) // i
-        if size > self.digits:
-            self.fail(f"power of more than {self.digits} terms", start)
-        # A scalar, or a base over one generator, is a polynomial p in
-        # commuting variables when no coefficient is a fraction.  By
-        # Parseval on the torus, the squared coefficient magnitudes of
-        # p^n sum to at least M^(2n), for M the largest magnitude among
-        # the t rational coefficients of p; p^n has at most
-        # C(n + t - 1, t - 1) of them, so one reaches M^n divided by the
-        # square root of that count, and M^n is at least 2^((m - 1) n)
-        # for an M of m bits.
-        coeffs = (base,) if _is_scalar(base) else base.terms.values()
-        if not one_generator or sc.common_denominator(coeffs) != sc.ONE:
-            return
-        m = max(map(sc.magnitude, coeffs)).bit_length()
-        spare = 2 * (m - 1) * n - 2 * self.too_big.bit_length()
-        count = 1
-        for i in range(1, sum(map(sc.term_count, coeffs))):
-            if count.bit_length() > spare:
-                return
-            count = count * (n + i) // i
-        if count.bit_length() <= spare:
-            self.too_large(start)
+    def power(self, base, n, start):
+        """base^n by squaring from the top bit of n, each step a guarded
+        product."""
+        if not n:
+            return sc.ONE if _is_scalar(base) else FreePoly.scalar(base.slots)
+        out = base
+        for bit in f"{n:b}"[1:]:
+            out = self.product(out, out, start)
+            if bit == "1":
+                out = self.product(out, base, start)
+        return out
+
+    def product(self, a, b, tok, outer=False):
+        """a * b, or the outer product a @ b, refused at tok unless it
+        pairs at most `digits` coefficient terms, its operands' largest
+        numbers have at most twice the bits of too_big together and
+        their longest words at most `digits` letters together."""
+        (terms_a, bits_a, word_a), (terms_b, bits_b, word_b) = _size(a), _size(b)
+        if terms_a * terms_b > self.digits:
+            self.fail(f"product of more than {self.digits} term pairs", tok)
+        if bits_a + bits_b > 2 * self.too_big.bit_length():
+            self.too_large(tok)
+        if word_a + word_b > self.digits:
+            self.fail(f"product of words of more than {self.digits} letters", tok)
+        try:
+            return FreePoly.of(a, b) if outer else a * b
+        except AlgebraMismatch as exc:
+            self.fail(str(exc), tok)
 
     def atom(self):
         tok = self.take()
@@ -280,10 +261,7 @@ class _Parser:
             self.fail("cannot multiply a tensor by a bare polynomial", tok)
         if _width(a) == 1 and _width(b) == 2:
             self.fail("cannot multiply a bare polynomial by a tensor", tok)
-        try:
-            return a * b
-        except AlgebraMismatch as exc:
-            self.fail(str(exc), tok)
+        return self.product(a, b, tok)
 
     def combine_div(self, a, b, tok):
         if isinstance(b, FreePoly):
@@ -293,9 +271,7 @@ class _Parser:
                 self.fail("can only divide by scalars", tok)
         if not b:
             self.fail("division by zero", tok)
-        if _is_scalar(a):
-            return a / b
-        return a.scale(sc.ONE / b)
+        return self.product(a, sc.ONE / b, tok)
 
     def combine_tensor(self, a, b, tok):
         if _width(a) == 2 or _width(b) == 2:
@@ -314,7 +290,7 @@ class _Parser:
                 self.fail(f"left tensor factor must live over {slots[0].id}", tok)
             if b.alg is not slots[1]:
                 self.fail(f"right tensor factor must live over {slots[1].id}", tok)
-        return FreePoly.of(a, b)
+        return self.product(a, b, tok, outer=True)
 
 
 def parse_value(

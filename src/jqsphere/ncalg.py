@@ -225,16 +225,6 @@ class FreePoly:
     def __truediv__(self, other):
         return self.scale(sc.ONE / _coeff(other))
 
-    def __pow__(self, n: int):
-        out, base = FreePoly.scalar(self.slots), self
-        while n:  # by squaring
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def scale(self, c):
         c = _coeff(c)
         if not c:

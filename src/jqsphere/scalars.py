@@ -307,15 +307,6 @@ def height(x) -> int:
     return max((_height(c) for p in polys for c in p.itercoeffs()), default=0)
 
 
-def magnitude(x) -> int:
-    """The integer part of the largest coefficient magnitude of a
-    polynomial x; 0 for a fraction."""
-    v = x._v
-    if type(v) is not PolyElement:
-        return 0
-    return max((abs(int(c.numerator)) // int(c.denominator) for c in v.itercoeffs()), default=0)
-
-
 def term_count(x) -> int:
     """The number of terms of x, or of the longer of the numerator and
     denominator of a fraction."""
@@ -323,22 +314,6 @@ def term_count(x) -> int:
     if type(v) is PolyElement:
         return len(v)
     return max(len(v.numer), len(v.denom))
-
-
-def lead_height(x, trailing=False) -> int:
-    """The height of the graded-lex leading (or trailing) coefficient of
-    x, or of the numerator's over the denominator's leading one for a
-    fraction, as rendered; 0 for the zero scalar.  The leading and
-    trailing terms of a power are the powers of those terms, so x^n has
-    a coefficient of height lead_height(x, trailing)^n."""
-    v = x._v
-    if not v:
-        return 0
-    if type(v) is PolyElement:
-        c = _lead(v, trailing)
-    else:
-        c = _lead(v.numer, trailing) / _lead(v.denom)
-    return _height(c)
 
 
 def _eval_poly(poly, repl):
@@ -384,9 +359,9 @@ def _monom_key(monom):
     return (sum(monom), monom)
 
 
-def _lead(poly, trailing=False):
-    """Graded-lex leading (or trailing) coefficient of a nonzero polynomial."""
-    return (min if trailing else max)(poly.iterterms(), key=lambda t: _monom_key(t[0]))[1]
+def _lead(poly):
+    """Graded-lex leading coefficient of a nonzero polynomial."""
+    return max(poly.iterterms(), key=lambda t: _monom_key(t[0]))[1]
 
 
 def _term_str(monom, coeff):

@@ -330,6 +330,38 @@ def test_oversized_power_in_a_catalog_exits_2_before_it_is_computed(tmp_path, ca
     assert err == f"error: {bad}:3:15: number of more than {max_digits()} digits\n"
 
 
+def test_oversized_products_exit_2_before_they_run(tmp_path, capsys):
+    # each ran for seconds, or would build millions of keys, before the
+    # parser guarded every product
+    limit = max_digits()
+    pairs = f"product of more than {limit} term pairs"
+    bad = tmp_path / "t.cat"
+    head = "algebra A\n params h k rho s\n generators x y\n"
+    for text, position in (
+        (head + " relation r : ((h+k)*x + rho + s)^32\n", "4:15"),
+        (
+            head + "element e\n over A\n poly (h+k+rho+s)^20*(kprime+rhoprime+beta+betaprime)^20\n",
+            "6:7",
+        ),
+        (head + "morphism m\n source A\n target A @ A\n map x -> (x+y)^12 @ (x+y)^12\n", "7:20"),
+    ):
+        bad.write_text(text)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "--catalog", str(bad), "determinant")
+        assert time.perf_counter() - started < 1, text
+        assert code == 2 and not out
+        assert err == f"error: {bad}:{position}: {pairs}\n"
+    for value in (
+        "(h+k+rho+s)^20*(kprime+rhoprime+beta+betaprime)^20",
+        "((h + k)/(2 + rho))^99999999",
+    ):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "determinant", "--set", f"h={value}")
+        assert time.perf_counter() - started < 1, value
+        assert code == 2 and not out
+        assert err == f"error: <--set>:1:1: {pairs}\n"
+
+
 def test_repeated_keyword_exits_2_at_the_second_item(tmp_path, capsys):
     # a second 'over' would otherwise leave a polynomial over A in an
     # element of B

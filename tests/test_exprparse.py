@@ -1,5 +1,7 @@
 """Expression grammar: precedence, typed combination and error positions."""
 
+import functools
+import operator
 import time
 
 import pytest
@@ -29,6 +31,12 @@ def err(text, **kw):
     with pytest.raises(CatalogParseError) as info:
         parse(text, **kw)
     return info.value
+
+
+def repeated_product(p, n):
+    """p^n as a repeated product, independent of the parser's squaring."""
+    one = sc.ONE if isinstance(p, sc.Scalar) else FreePoly.scalar(p.slots)
+    return functools.reduce(operator.mul, [p] * n, one)
 
 
 # -- scalars and literals ---------------------------------------------
@@ -186,16 +194,17 @@ def test_numerals_must_print():
 
 def test_huge_constant_powers_are_sized_before_they_are_computed():
     # each of these would take minutes or gigabytes to evaluate
-    for text, column in (
-        ("2^99999999", 1),
-        ("h + (1/2)^99999999", 5),
-        ("x*(-3)^99999999", 3),
-        ("(3*h + 1)^99999999", 1),
-        ("(h/(2*h + 1))^99999999", 1),
+    limit = max_digits()
+    for text, column, what in (
+        ("2^99999999", 1, "digits"),
+        ("h + (1/2)^99999999", 5, "digits"),
+        ("x*(-3)^99999999", 3, "digits"),
+        ("(3*h + 1)^99999999", 1, "term pairs"),
+        ("(h/(2*h + 1))^99999999", 1, "term pairs"),
     ):
         e = err(text)
-        assert "more than" in e.message and "digits" in e.message
-        assert e.column == column
+        assert f"more than {limit} {what}" in e.message, text
+        assert e.column == column, text
     assert parse("1^99999999") == sc.ONE
     assert parse("(-1)^99999999") == -sc.ONE
     assert parse("0^99999999") == sc.ZERO
@@ -225,8 +234,9 @@ def test_values_must_print():
 
 
 def test_large_powers_are_sized_before_they_are_computed():
-    # terms, words and end coefficients each bound the work; every one
-    # of these would run for minutes or without end if it were computed
+    # term pairs, digits and letters each bound every squaring step;
+    # every one of these would run for minutes or without end if it
+    # were computed
     limit = max_digits()
     funh = Algebra("funh", ("c", "a", "d", "b"))
     gens = dict(GENS, **gen_map(funh))
@@ -234,28 +244,62 @@ def test_large_powers_are_sized_before_they_are_computed():
         ("x^99999999", 1, "letters"),
         ("y + x^4301", 5, "letters"),
         ("(x@x)^99999999", 1, "letters"),
-        ("(2*x)^99999999", 1, "digits"),
+        ("(2*x)^99999999", 1, "letters"),
         ("(x - x + 2)^99999999", 1, "digits"),
         ("(h + 10^4000)^1000", 1, "digits"),
         ("(h + 10^4000*x)^1000", 1, "digits"),
-        ("(h + 1)^99999", 1, "terms"),
-        ("x*(h + 1)^4300", 3, "terms"),
-        ("(x + y)^13", 1, "terms"),
-        ("(a + b + c + d)^40", 1, "terms"),
+        ("(h + 1)^99999", 1, "term pairs"),
+        ("x*(h + 1)^4300", 3, "term pairs"),
+        ("x*(h + 1)^4299", 3, "term pairs"),
+        ("(h + 1)^500", 1, "term pairs"),
+        ("(x + y)^13", 1, "term pairs"),
+        ("(a + b + c + d)^40", 1, "term pairs"),
     ):
         e = err(text, gens=gens, tensor_slots=(A, A))
         assert f"more than {limit} {what}" in e.message, text
         assert e.column == column, text
-    for text in ("(h + k + 1)^99999999", "((h + k)/(2 + rho))^99999999"):
+    for text in (
+        "(h + k + 1)^50",
+        "(h + k + 1)^99999999",
+        "((h + k)/(2 + rho))^99999999",
+    ):
+        started = time.perf_counter()
         e = err(text, params=sc.PARAMS)
-        assert e.message == f"power of more than {limit} terms" and e.column == 1
-    # the bounds are exact enough to keep these
-    assert parse("x*(h + 1)^4299") == X.scale((sc.h + 1) ** 4299)
+        assert time.perf_counter() - started < 1, text
+        assert e.message == f"product of more than {limit} term pairs" and e.column == 1
+    # the guard is loose enough to keep these
     assert parse("x^2000") == FreePoly.from_word(A, (0,) * 2000)
     assert parse("(x - x + 1)^99999999") == FreePoly.unit(A)
     assert len(parse("(x + 1)^100").terms) == 101
     assert len(parse("(x + y)^10").terms) == 2**10
-    assert sc.term_count(parse("(h + k + 1)^50", params=sc.PARAMS)) == 1326
+    assert len(parse("(x + y)^12").terms) == 2**12
+    assert sc.term_count(parse("(h + k + 1)^16", params=sc.PARAMS)) == 153
+
+
+def test_products_are_guarded_before_they_run():
+    # the first two ran for seconds before they were accepted, the
+    # others multiply, or divide, values the guard allows, into
+    # millions of terms or keys
+    limit = max_digits()
+    for text, column in (
+        ("((h+k)*x + rho + s)^32", 1),
+        ("(h+k+rho+s)^20*(kprime+rhoprime+beta+betaprime)^20", 1),
+        ("(h+k+rho+s)^8*(kprime+rhoprime+beta+betaprime)^8", 14),
+        ("(x+y)^12 @ (x+y)^12", 10),
+        ("(x+y)^8 @ (x+y)^8", 9),
+        ("(x+y)^12/((h+k+1)^8/(rho+s+1)^8)", 9),
+    ):
+        started = time.perf_counter()
+        e = err(text, params=sc.PARAMS, tensor_slots=(A, A))
+        assert time.perf_counter() - started < 1, text
+        assert e.message == f"product of more than {limit} term pairs", text
+        assert e.column == column, text
+    # the guard bounds the operands, not the product's size
+    e = err("x^3000 @ y^2000", tensor_slots=(A, A))
+    assert e.message == f"product of words of more than {limit} letters" and e.column == 8
+    assert parse("(x+y)^6 @ (x+y)^6", tensor_slots=(A, A)) == FreePoly.of(
+        repeated_product(X + Y, 6), repeated_product(X + Y, 6)
+    )
 
 
 def test_large_middle_coefficients_are_sized_before_they_are_computed():
@@ -281,10 +325,10 @@ def test_large_middle_coefficients_of_one_generator_bases_are_sized_first():
     # the bound leaves powers with small coefficients alone
     one = FreePoly.unit(A)
     assert parse("x^2000") == FreePoly.from_word(A, (0,) * 2000)
-    assert parse("(x + y)^10") == (X + Y) ** 10
-    assert parse("(x + 1)^50") == (X + one) ** 50
-    assert parse("(x + 10^40)^50") == (X + 10**40 * one) ** 50
-    assert parse("(h*x + 1/h)^5") == (sc.h * X + one.scale(1 / sc.h)) ** 5
+    assert parse("(x + y)^10") == repeated_product(X + Y, 10)
+    assert parse("(x + 1)^50") == repeated_product(X + one, 50)
+    assert parse("(x + 10^40)^50") == repeated_product(X + 10**40 * one, 50)
+    assert parse("(h*x + 1/h)^5") == repeated_product(sc.h * X + one.scale(1 / sc.h), 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,16 +346,16 @@ def test_power_bounds_refuse_only_powers_past_the_limit(low, middle, high, n, va
     coeffs = [low, *middle, high]
     text = " + ".join(f"({c})*{var}^{i}" for i, c in enumerate(coeffs))
     g = sc.h if var == "h" else X
-    base = sum((c * g**i for i, c in enumerate(coeffs)), 0 * g)
+    base = sum((c * repeated_product(g, i) for i, c in enumerate(coeffs)), 0 * g)
     try:
         value = parse(f"({text})^{n}")
     except CatalogParseError as e:
         if "digits" in e.message:
-            power = base**n
+            power = repeated_product(base, n)
             heights = [sc.height(power)] if var == "h" else map(sc.height, power.terms.values())
             assert max(heights) >= 10 ** max_digits()
     else:
-        assert value == base**n
+        assert value == repeated_product(base, n)
 
 
 # -- randomized agreement with direct arithmetic -----------------------

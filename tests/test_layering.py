@@ -127,3 +127,52 @@ def test_the_scalar_payload_stays_inside_scalars():
     offenders = {p.name: hits for p in modules if (hits := payload_uses(p))}
     assert offenders == {}
     assert payload_uses(PACKAGE / "scalars.py")
+
+
+# the functions of exprparse.py that may multiply: the guard, and the
+# digit limit's own power of ten, which multiplies no parsed value
+MULTIPLYING = {"product", "_power_of_ten"}
+
+
+def multiplications(path, allowed):
+    """(line, source) of each *, ** or @ operator and each .of(...) call
+    outside the functions named in allowed."""
+    source = path.read_text()
+    operators = (ast.Mult, ast.Pow, ast.MatMult)
+    hits = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name in allowed
+        multiplies = (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, operators)
+        ) or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of")
+        if multiplies and not inside:
+            hits.append((node.lineno, ast.get_source_segment(source, node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source, filename=str(path)), False)
+    return hits
+
+
+def test_multiplication_scan_sees_operators_and_outer_products(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'def product(a, b):\n'
+        '    return a * b, a ** 2, FreePoly.of(a, b)\n'
+        'def power(a, n):\n'
+        '    out = a ** n\n'
+        '    out *= a\n'
+        '    return FreePoly.of(a, a @ out)\n'
+        'SQUARE = 2 * 2\n'
+    )
+    assert [line for line, _ in multiplications(probe, {"product"})] == [4, 5, 6, 6, 7]
+
+
+def test_parsed_values_multiply_only_in_the_guard():
+    """Every product of parsed values, each '*', '@' and squaring step
+    of '^', runs inside exprparse._Parser.product, after its limits are
+    checked, so no input multiplies past them."""
+    assert multiplications(PACKAGE / "exprparse.py", MULTIPLYING) == []
+    assert multiplications(PACKAGE / "exprparse.py", set())

@@ -48,9 +48,9 @@ def test_scalar_coefficients():
 
 
 def test_power_and_unit():
-    a = gp("a")
-    assert a**0 == FreePoly.unit(A)
-    assert a**3 == a * a * a
+    a, one = gp("a"), FreePoly.unit(A)
+    assert one * a == a == a * one
+    assert a * a * a == FreePoly.from_word(A, A.word("a", "a", "a"))
     assert FreePoly.unit(A, 5) == FreePoly.from_word(A, (), 5)
 
 

@@ -40,24 +40,6 @@ def test_height():
     assert sc.height(sc.ONE / sc.rho) == 1
 
 
-def test_lead_height_is_the_height_of_the_leading_coefficient_of_powers():
-    assert sc.lead_height(sc.ZERO) == 0
-    assert sc.lead_height(sc.rational(-22, 7)) == 22
-    x = sc.rational(-5, 3) * sc.h**2 + 100 * sc.k + 1
-    assert sc.lead_height(x) == 5
-    assert sc.lead_height(x**7) == 5**7
-    f = (sc.rational(4, 3) * sc.h + 1) / (2 * sc.rho + 1)
-    assert sc.lead_height(f) == 3
-    assert sc.lead_height(f**5) == 3**5
-
-
-def test_magnitude_is_the_largest_coefficient_magnitude():
-    assert sc.magnitude(sc.ZERO) == 0
-    assert sc.magnitude(sc.rational(-22, 7)) == 3
-    assert sc.magnitude(sc.h**2 - 10**40 * sc.h + 1) == 10**40
-    assert sc.magnitude(sc.ONE / sc.rho) == 0
-
-
 def test_multiplying_by_the_shared_one_returns_the_other_operand():
     for x in (sc.ZERO, sc.h, sc.k / sc.rho, sc.rational(3, 2)):
         assert x * sc.ONE is x
