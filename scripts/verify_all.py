@@ -24,7 +24,7 @@ POINTS = (
     ("rational", {"h": 1, "k": 2, "rho": 3, "kprime": 1, "rhoprime": 2}),
 )
 
-SLOW = {"duality-axioms", "invariance-products", "hopf-funh", "hopf-uh"}
+SLOW = {"duality-axioms", "invariance-products"}
 
 MARK = {"pass": "ok", "fail": "FAIL", "error": "ERR"}
 

@@ -2,11 +2,15 @@
 hand-checkable fixtures: a group algebra on one invertible generator and
 an enveloping algebra with primitive generators."""
 
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jqsphere import scalars as sc
+from jqsphere.catalog import default_catalog_dir
+from jqsphere.checks import run_check
 from jqsphere.errors import MissingGeneratorImage
 from jqsphere.hopf import (
     GenMorphism,
@@ -19,10 +23,10 @@ from jqsphere.hopf import (
     convolve,
     expand_left,
     expand_right,
-    identity_morphism,
     tensor_normalizer,
 )
-from jqsphere.ncalg import Algebra, FreePoly
+from jqsphere.jordanian import ENV, FUN, build_catalog
+from jqsphere.ncalg import Algebra, FreePoly, collect
 from jqsphere.rewrite import complete, deglex
 
 # group algebra of the integers: gi is the inverse of g
@@ -131,12 +135,6 @@ def test_normalize_keeps_images_reduced():
     img = m(GG * GI * GG)
     assert img == GI
     assert sys.normal_form(img) == img
-
-
-def test_identity_morphism():
-    ident = identity_morphism(G)
-    p = GG * GI + GG.scale(sc.rational(2, 3))
-    assert ident(p) == p
 
 
 def test_scalar_valued_morphism():
@@ -264,13 +262,146 @@ def test_expand_and_contract_shapes():
     assert contract_right(hopf.counit, t) == GG
 
 
-def test_convolution_with_antipode_collapses_to_counit():
+# -- antipode sides by word recursion ---------------------------------
+
+
+def full_convolution(hopf, w, left):
+    """Reference for the antipode sides: nf(sum S(u) v) (left) or
+    nf(sum u S(v)) (right) over the word's whole coproduct."""
+    alg, anti = hopf.alg, hopf.antipode
+    t = hopf.coproduct(FreePoly.from_word(alg, w))
+    pieces = (
+        (anti.word_image(u) * FreePoly.from_word(alg, v)
+         if left else FreePoly.from_word(alg, u) * anti.word_image(v)).scale(c)
+        for (u, v), c in t.terms.items()
+    )
+    return hopf.system.normal_form(FreePoly.combine((alg,), pieces))
+
+
+def recursive_sides(hopf, max_degree):
+    """{word: (L, R)} through convolve, each side from the word one
+    letter shorter."""
+    sides = {(): (FreePoly.unit(hopf.alg),) * 2}
+    split = lambda g: hopf.coproduct.word_image((g,))
+    for w in hopf.system.normal_words(max_degree):
+        if w:
+            sides[w] = (
+                convolve(hopf.antipode, split(w[-1]), sides[w[:-1]][0], hopf.system, True),
+                convolve(hopf.antipode, split(w[0]), sides[w[1:]][1], hopf.system, False),
+            )
+    return sides
+
+
+def reference_hopf_axioms(hopf, max_degree, relations):
+    """check_hopf_axioms with both antipode sides from full_convolution."""
+    cop, eps = hopf.coproduct, hopf.counit
+    out = []
+    for m in (cop, eps, hopf.antipode):
+        out.extend(check_morphism_respects_relations(m, relations))
+    for w in hopf.system.normal_words(max_degree):
+        word = hopf.alg.render_word(w)
+        p = FreePoly.from_word(hopf.alg, w)
+        t = cop(p)
+        collect(out, f"coassoc:{word}", expand_left(cop, t), expand_right(cop, t))
+        collect(out, f"counit-left:{word}", contract_left(eps, t), p)
+        collect(out, f"counit-right:{word}", contract_right(eps, t), p)
+        unit_eps = FreePoly.unit(hopf.alg, eps.scalar(p))
+        for side, left in (("left", True), ("right", False)):
+            collect(out, f"antipode-{side}:{word}", full_convolution(hopf, w, left), unit_eps)
+    return out
+
+
+def test_convolve_places_the_inner_factor_between_the_split():
+    hopf = sl2_hopf()
+    split = hopf.coproduct.word_image((SL2.index("H"),))
+    # S(H) E 1 + S(1) E H = [E, H] and H E S(1) + 1 E S(H) = [H, E]
+    assert convolve(hopf.antipode, split, E, hopf.system, True) == (-2 * E)
+    assert convolve(hopf.antipode, split, E, hopf.system, False) == 2 * E
+
+
+def test_convolve_step_collapses_to_counit():
     hopf = group_hopf()
-    ident = identity_morphism(G, normalize=hopf.system.normal_form)
-    p = GG * GG
-    t = hopf.coproduct(p)
-    out = convolve(hopf.antipode, ident, t, hopf.system)
-    assert out == FreePoly.unit(G)
+    split = hopf.coproduct.word_image((G.index("g"),))
+    one = FreePoly.unit(G)
+    assert convolve(hopf.antipode, split, one, hopf.system, True) == one
+    assert convolve(hopf.antipode, split, one, hopf.system, False) == one
+    # an inner factor other than a side value: S(g) g g = g g S(g) = g
+    assert convolve(hopf.antipode, split, GG, hopf.system, True) == GG
+    assert convolve(hopf.antipode, split, GG, hopf.system, False) == GG
+
+
+def shipped_hopf(name):
+    return lambda: build_catalog().hopf(name)
+
+
+@pytest.mark.parametrize(
+    "make", [group_hopf, sl2_hopf, shipped_hopf(FUN), shipped_hopf(ENV)],
+    ids=["grp", "sl2", FUN, ENV],
+)
+def test_word_recursion_matches_full_coproduct(make):
+    hopf = make()
+    sides = recursive_sides(hopf, 3)
+    assert len(sides) >= 7
+    for w, (left, right) in sides.items():
+        assert left == full_convolution(hopf, w, True), hopf.alg.render_word(w)
+        assert right == full_convolution(hopf, w, False), hopf.alg.render_word(w)
+
+
+def mutant_hopf(tmp_path, filename, old, new, name):
+    data = tmp_path / "data"
+    shutil.copytree(default_catalog_dir(), data)
+    f = data / filename
+    text = f.read_text()
+    assert text.count(old) == 1
+    f.write_text(text.replace(old, new))
+    cat = build_catalog(paths=[data])
+    return cat.hopf(name), cat.relations(name)
+
+
+@pytest.mark.parametrize(
+    "filename, old, new, name, count, ref_count, causes",
+    [
+        ("funh.cat", "map c -> -c", "map c -> -2*c", FUN, 36, 44, ["ac", "cd", "ad", "det"]),
+        ("uh.cat", "map Y -> -(T*Y*Tinv)", "map Y -> -(Y)", ENV, 26, 31, ["HY", "TY", "TinvY"]),
+    ],
+    ids=[FUN, ENV],
+)
+def test_antipode_mutant_fails_with_its_relation_rows(
+    tmp_path, filename, old, new, name, count, ref_count, causes
+):
+    """An antipode that breaks the relations changes the antipode lines
+    against the full-coproduct formula, but still fails, and the
+    antipode's relation rows name the cause."""
+    hopf, relations = mutant_hopf(tmp_path, filename, old, new, name)
+    got = check_hopf_axioms(hopf, 3, relations)
+    ref = reference_hopf_axioms(hopf, 3, relations)
+    assert (len(got), len(ref)) == (count, ref_count)
+    assert got != ref
+    rest = lambda rows: [r for r in rows if not r[0].startswith("antipode-")]
+    assert rest(got) == rest(ref)
+    assert [label for label, _ in got if label.startswith(f"{name}_antipode:")] == [
+        f"{name}_antipode:{c}" for c in causes
+    ]
+
+
+def test_coproduct_mutant_reports_as_the_full_coproduct_formula(tmp_path):
+    hopf, relations = mutant_hopf(
+        tmp_path, "funh.cat", "map b -> a@b + b@d", "map b -> a@b + 2*b@d", FUN
+    )
+    got = check_hopf_axioms(hopf, 3, relations)
+    assert len(got) == 67
+    assert got == reference_hopf_axioms(hopf, 3, relations)
+
+
+def test_hopf_statuses_at_low_completion_degree():
+    # the recursion reduces only within the completed degree, so funh
+    # passes at degree 2; uh still needs degree 4
+    two, one = build_catalog(max_degree=2), build_catalog(max_degree=1)
+    assert run_check(two, "hopf-funh").status == "pass"
+    for cat, check_id in ((two, "hopf-uh"), (one, "hopf-funh"), (one, "hopf-uh")):
+        report = run_check(cat, check_id)
+        assert report.status == "error"
+        assert "not closed" in report.residuals[0][1]
 
 
 WORD = st.lists(st.sampled_from(["g", "gi"]), min_size=0, max_size=4)
