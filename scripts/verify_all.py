@@ -8,7 +8,7 @@ re-derive everything from scratch there.  The classical point h = 0 is
 where all the noncommutativity degenerates.
 
 Usage:
-    python3 scripts/verify_all.py [--max-degree N] [--skip-slow]
+    python3 scripts/verify_all.py [--max-degree N]
 """
 
 import argparse
@@ -24,22 +24,15 @@ POINTS = (
     ("rational", {"h": 1, "k": 2, "rho": 3, "kprime": 1, "rhoprime": 2}),
 )
 
-SLOW = {"duality-axioms", "invariance-products"}
-
 MARK = {"pass": "ok", "fail": "FAIL", "error": "ERR"}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-degree", type=int, default=6)
-    parser.add_argument(
-        "--skip-slow", action="store_true", help="skip the slowest checks"
-    )
     args = parser.parse_args(argv)
 
-    ids = [
-        cid for cid in check_ids() if not (args.skip_slow and cid in SLOW)
-    ]
+    ids = check_ids()
     catalogs = [
         (label, build_catalog(bindings=bindings, max_degree=args.max_degree))
         for label, bindings in POINTS

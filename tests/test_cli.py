@@ -1,7 +1,6 @@
 """Check registry and command line behaviour: exit codes, report formats,
 parameter binding and catalog overrides."""
 
-import importlib.util
 import json
 import re
 import shutil
@@ -80,15 +79,6 @@ def test_sided_rows_share_one_check():
     assert len(paired) == 18
     # every other row runs its check function directly
     assert all(not hasattr(run, "func") for cid, (run, _) in CHECKS.items() if cid not in paired)
-
-
-def test_verify_all_slow_set_names_registry_ids():
-    path = ROOT / "scripts" / "verify_all.py"
-    spec = importlib.util.spec_from_file_location("verify_all", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.SLOW
-    assert script.SLOW <= set(check_ids())
 
 
 def test_resolve_ids_canonical_order():

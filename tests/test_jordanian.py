@@ -278,7 +278,7 @@ def test_normalize_bindings():
 
     out = normalize_bindings({"h": 0, "k": Fraction(1, 2)})
     assert out["h"] == sc.ZERO
-    assert out["k"] == sc.rational(1, 2)
+    assert out["k"] == sc.ensure_scalar(Fraction(1, 2))
     with pytest.raises(ValueError, match="unknown parameter"):
         normalize_bindings({"hbar": 1})
 

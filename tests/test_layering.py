@@ -1,6 +1,9 @@
 """Module layering rules that the code itself must keep."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jqsphere"
@@ -17,14 +20,38 @@ def imported_roots(path):
     return roots
 
 
-def test_sympy_stays_inside_scalars():
+def test_import_scan_sees_nested_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'import os.path\n'
+        'def f():\n'
+        '    from sympy.polys import ring\n'
+        '    import fractions as fr\n'
+        'from . import scalars\n'
+    )
+    assert imported_roots(probe) == {"os", "sympy", "fractions"}
+
+
+def test_no_module_imports_sympy():
+    """The package runs on the standard library alone: no module imports
+    sympy, at the top or inside a function."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
-    offenders = [
-        p.name for p in modules if p.name != "scalars.py" and "sympy" in imported_roots(p)
-    ]
+    offenders = [p.name for p in modules if "sympy" in imported_roots(p)]
     assert offenders == []
-    assert "sympy" in imported_roots(PACKAGE / "scalars.py")
+
+
+def test_the_cli_does_not_load_sympy():
+    """Importing the command line front end, and through it every module
+    it uses, leaves sympy unloaded; this also catches an import made
+    through another package or by importlib, which the scan cannot see."""
+    code = "import sys, jqsphere.cli; print('sympy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # the two sphere families (jordanian.Side) and the two factors of the
@@ -120,9 +147,9 @@ def test_payload_scan_sees_reads_and_constructions(tmp_path):
 
 def test_the_scalar_payload_stays_inside_scalars():
     """Only scalars.py reads a Scalar's payload or wraps one, so the
-    payload invariants its arithmetic relies on (a polynomial of
-    scalars.RING with no zero coefficient, zero as the empty polynomial,
-    a fraction only over a non-constant denominator) have one owner."""
+    payload invariants its arithmetic relies on (a polynomial dict with
+    no zero coefficient, zero as the empty dict, a reduced fraction only
+    over a non-constant denominator) have one owner."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "scalars.py"]
     offenders = {p.name: hits for p in modules if (hits := payload_uses(p))}
     assert offenders == {}

@@ -1,6 +1,8 @@
 """Sparse elements over slot tuples: free polynomials, tensors, the slot
 map, rendering and ring laws."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,7 +153,7 @@ def test_combine_matches_the_sum_and_drops_cancelled_keys():
 
 
 words_st = st.lists(st.integers(0, 3), max_size=3).map(tuple)
-coeffs = st.sampled_from([sc.ONE, -sc.ONE, sc.h, sc.k - 1, sc.rational(3, 2)])
+coeffs = st.sampled_from([sc.ONE, -sc.ONE, sc.h, sc.k - 1, sc.ensure_scalar(Fraction(3, 2))])
 polys = st.dictionaries(words_st, coeffs, max_size=4).map(
     lambda d: FreePoly((A,), {(w,): c for w, c in d.items()})
 )

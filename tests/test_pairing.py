@@ -5,6 +5,8 @@ word means splitting n-1 coproducts, and for short words every summand
 can be written out on paper.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,8 +97,8 @@ def test_unit_rows_reduce_to_counits():
 def test_bilinearity():
     lhs = val(H + Y.scale(sc.h), A * B)
     assert lhs == val(H, A * B) + sc.h * val(Y, A * B)
-    rhs = val(H, A * B - (B * A).scale(sc.rational(1, 2)))
-    assert rhs == val(H, A * B) - sc.rational(1, 2) * val(H, B * A)
+    rhs = val(H, A * B - (B * A).scale(sc.ensure_scalar(Fraction(1, 2))))
+    assert rhs == val(H, A * B) - sc.ensure_scalar(Fraction(1, 2)) * val(H, B * A)
 
 
 def test_pairing_normalizes_before_splitting():
@@ -218,12 +220,13 @@ def test_invariance_checker_reports_failures():
 
 @pytest.mark.parametrize("check_id", ["invariance-PL", "invariance-PR", "invariance-products"])
 def test_passing_invariance_does_no_fraction_arithmetic(check_id, monkeypatch):
-    # every field operation ends in scalars._demote; the ring operations
-    # do not.  The elements carry k/rho and kprime/rhoprime, and clearing
-    # them takes one field multiplication per fractional coefficient.
+    # every fraction operation ends in scalars._fraction; polynomial
+    # operations do not.  The elements carry k/rho and kprime/rhoprime,
+    # and clearing them takes one fraction multiplication per fractional
+    # coefficient.
     calls = []
-    demote = sc._demote
-    monkeypatch.setattr(sc, "_demote", lambda f: calls.append(f) or demote(f))
+    fraction = sc._fraction
+    monkeypatch.setattr(sc, "_fraction", lambda num, den: calls.append(den) or fraction(num, den))
     report = run_check(CAT, check_id)
     assert report.status == "pass"
     assert len(calls) <= 50

@@ -92,7 +92,7 @@ def test_scalar_additive_group(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
     assert x + sc.ZERO == x
-    assert sc.is_zero(x + (-x))
+    assert not (x + (-x))
 
 
 @opts("scalar_multiplicative_field")
@@ -102,7 +102,7 @@ def test_scalar_multiplicative_field(x, y, z):
     assert x * y == y * x
     assert x * sc.ONE == x
     assert x * (y + z) == x * y + x * z
-    assume(not sc.is_zero(x))
+    assume(bool(x))
     assert x * (sc.ONE / x) == sc.ONE
     assert (y / x) * x == y
 
