@@ -22,10 +22,9 @@ class AlgebraMismatch(JQSphereError):
 
 
 class NotOrientable(JQSphereError):
-    """A relation cannot be oriented into a degree-nonincreasing rule.
-
-    Signals a bad generator precedence rather than bad input data.
-    """
+    """A relation reduced to a nonzero constant, which has no leading
+    word to orient at: the presentation is inconsistent (its ideal holds
+    1), which is bad input."""
 
 
 class NonTerminating(JQSphereError):

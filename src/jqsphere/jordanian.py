@@ -18,7 +18,7 @@ from .errors import CatalogParseError, DenominatorVanishes
 from .hopf import GenMorphism, HopfStructure, tensor_normalizer
 from .ncalg import FreePoly, substitute_poly
 from .pairing import DualPairing
-from .rewrite import complete, deglex
+from .rewrite import complete
 
 FUN = "funh"
 ENV = "uh"
@@ -161,6 +161,9 @@ class Catalog:
                     )
         if self.data.matrices[MATRIX].algebra is not fun:
             raise CatalogParseError(f"matrix {MATRIX} must live over {FUN}")
+        pairing = self.data.pairings[PAIRING]
+        if pairing.env is not self.algebra(ENV) or pairing.fun is not fun:
+            raise CatalogParseError(f"pairing {PAIRING} must pair env {ENV} with fun {FUN}")
 
     # -- binding plumbing ------------------------------------------------
 
@@ -197,9 +200,7 @@ class Catalog:
         key = (name, skip, _bkey(b))
         if key not in self._systems:
             rels = [p for _, p in self.relations(name, b, skip) if not p.is_zero()]
-            self._systems[key] = complete(
-                deglex(self.algebra(name)), rels, max_degree=self.max_degree
-            )
+            self._systems[key] = complete(self.algebra(name), rels, max_degree=self.max_degree)
         return self._systems[key]
 
     # -- morphisms ---------------------------------------------------------

@@ -2,8 +2,10 @@
 exact scalar field.
 
 A word is a tuple of generator indices into its algebra's generator list;
-the list is stored in increasing precedence order, so the index order is
-also the order used by graded-lex comparisons downstream.
+the list is stored in increasing precedence order.  grlex is the one
+term order: total length first, then generator indices, so a higher
+precedence generator sorts later.  Rendering lists terms by it, largest
+first, and rewriting orients every relation at its largest word.
 
 One sparse element type, FreePoly, covers every tensor power the checks
 use.  Its slots are a tuple of algebras, and its terms map keys, one word
@@ -70,6 +72,11 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.id}, gens={'/'.join(self.gens)})"
+
+
+def grlex(key):
+    """Graded-lex sort key of a term key (one word per slot)."""
+    return sum(map(len, key)), key
 
 
 def _slot_ids(slots) -> str:
@@ -249,9 +256,7 @@ class FreePoly:
         return NotImplemented
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda t: (sum(map(len, t[0])), t[0]), reverse=True
-        )
+        return sorted(self.terms.items(), key=lambda t: grlex(t[0]), reverse=True)
 
     def render(self) -> str:
         return _render_terms(self.sorted_terms(), self._render_key)

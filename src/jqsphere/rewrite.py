@@ -1,12 +1,13 @@
 """Degree-graded rewriting engine for finitely presented algebras.
 
-Relations are oriented into rules lhs -> rhs where lhs is the graded-lex
-leading word and every rhs word is strictly smaller; with that shape a
-reduction step never raises the degree, so reduction terminates on its
-own.  Completion examines every overlap and inclusion ambiguity between
-rule left sides up to a degree cap, adds the oriented residuals that do
-not already reduce to zero, and records the examined ambiguities as a
-certificate.  When no ambiguity was skipped the system is marked closed:
+Relations are oriented into rules lhs -> rhs where lhs is the leading
+word in ncalg's graded-lex order and every rhs word is strictly smaller;
+with that shape a reduction step never raises the degree, so reduction
+terminates on its own.  Completion examines every overlap and inclusion
+ambiguity between rule left sides up to a degree cap and adds the
+oriented residuals that do not already reduce to zero.  The certificate
+is the list of ambiguities examined in the final round, each of which
+resolved.  When none was skipped for degree the system is marked closed:
 the final rule set has the diamond property everywhere, so normal forms
 of arbitrary degree are well defined and unique.
 """
@@ -22,27 +23,20 @@ from .errors import (
     NonTerminating,
     NotOrientable,
 )
-from .ncalg import Algebra, FreePoly, Word, all_words
+from .ncalg import Algebra, FreePoly, Word, all_words, grlex
+
+# interreduction rounds before NonTerminating
+MAX_ROUNDS = 200
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Graded lexicographic order; the precedence is the algebra's own
-    generator order (lowest first)."""
-
-    alg: Algebra
-
-    def key(self, word: Word):
-        return (len(word), word)
-
-    def leading(self, p: FreePoly):
-        """(word, coeff) of the largest term of a nonzero polynomial."""
-        key = max(p.terms, key=lambda k: self.key(k[0]))
-        return key[0], p.terms[key]
+def _leading(p: FreePoly):
+    """(word, coeff) of the largest term of a nonzero one-slot polynomial."""
+    key = max(p.terms, key=grlex)
+    return key[0], p.terms[key]
 
 
-def deglex(alg: Algebra) -> MonomialOrder:
-    return MonomialOrder(alg)
+def _rule_order(rule):
+    return grlex((rule.lhs,))
 
 
 @dataclass(frozen=True)
@@ -57,58 +51,44 @@ class RewriteRule:
         return FreePoly.from_word(self.rhs.alg, self.lhs) - self.rhs
 
 
-def orient(order: MonomialOrder, relation: FreePoly, lhs: Word = None) -> RewriteRule:
-    """Turn a nonzero relation into a monic rule at its leading word.
-
-    An explicit lhs may be suggested; it is rejected (NotOrientable) when
-    some other word of the relation would not decrease under the order.
-    """
+def orient(relation: FreePoly) -> RewriteRule:
+    """Turn a nonzero relation into a monic rule at its leading word."""
     if relation.is_zero():
         raise ValueError("cannot orient the zero relation")
-    lead, lc = order.leading(relation)
-    if lhs is None:
-        lhs = lead
-    elif tuple(lhs) != lead:
-        if (tuple(lhs),) not in relation.terms:
-            raise NotOrientable(f"suggested lhs {lhs} does not occur in the relation")
-        raise NotOrientable(
-            f"word {relation.alg.render_word(lead)} exceeds the suggested lhs"
-        )
+    lhs, lc = _leading(relation)
     if not lhs:
         raise NotOrientable("relation is a nonzero constant (inconsistent system)")
     rest = FreePoly(relation.slots, {k: c for k, c in relation.terms.items() if k != (lhs,)})
-    return RewriteRule(tuple(lhs), (-rest).scale(sc.ONE / lc))
+    return RewriteRule(lhs, (-rest).scale(sc.ONE / lc))
 
 
 @dataclass(frozen=True)
 class Ambiguity:
     """One critical situation between two rules: their left sides meet
-    inside overlap_word (right rule entering at offset)."""
+    inside overlap_word, the left rule at offset 0 and the right rule at
+    offset (an overlap when it runs past the left side's end, an
+    inclusion when it sits inside)."""
 
     left_lhs: Word
     right_lhs: Word
     overlap_word: Word
     offset: int
-    kind: str  # "overlap" or "inclusion"
-    resolved: bool = False
 
 
 class RewriteSystem:
     """An oriented rule set with memoized normal forms."""
 
-    def __init__(self, order: MonomialOrder, rules, completed_through=0, closed=False):
-        self.order = order
-        self.alg = order.alg
-        self.rules = sorted(rules, key=lambda r: order.key(r.lhs))
+    def __init__(self, alg: Algebra, rules, completed_through=0):
+        self.alg = alg
+        self.rules = sorted(rules, key=_rule_order)
         self._by_lhs = {r.lhs: r for r in self.rules}
         if len(self._by_lhs) != len(self.rules):
             raise ValueError("duplicate rule left sides")
         self._lengths = sorted({len(r.lhs) for r in self.rules})
         self._memo = {}
         self.completed_through = completed_through
-        self.closed = closed
+        self.closed = True  # complete() clears it when the cap skipped an ambiguity
         self.certificate: list[Ambiguity] = []
-        self.relations: list[FreePoly] = []
 
     # -- matching ----------------------------------------------------
 
@@ -193,9 +173,7 @@ class RewriteSystem:
         cur = p
         while True:
             target = None
-            for (w,), c in sorted(
-                cur.terms.items(), key=lambda t: self.order.key(t[0][0]), reverse=True
-            ):
+            for (w,), c in cur.sorted_terms():
                 hit = self.find_redex(w)
                 if hit is not None:
                     target = (w, c, hit)
@@ -215,22 +193,16 @@ class RewriteSystem:
     # -- certificates ------------------------------------------------
 
     def verify_certificate(self) -> bool:
-        """Recheck the recorded ambiguities against the current rules and
-        confirm they cover everything the degree cap admits."""
-        want = {
-            (a.left_lhs, a.right_lhs, a.offset): a
+        """Confirm the recorded ambiguities are exactly those the degree
+        cap admits among the current rules, and that each still resolves."""
+        want = [
+            a
             for a in enumerate_ambiguities(self.rules)
             if len(a.overlap_word) <= self.completed_through
-        }
-        have = {(a.left_lhs, a.right_lhs, a.offset): a for a in self.certificate}
-        if set(want) != set(have):
+        ]
+        if set(want) != set(self.certificate):
             return False
-        for key, amb in want.items():
-            if self._ambiguity_resolves(amb) is not None:
-                return False
-            if not have[key].resolved:
-                return False
-        return True
+        return all(self._ambiguity_resolves(a) is None for a in want)
 
     def _ambiguity_resolves(self, amb: Ambiguity) -> FreePoly | None:
         left = self._by_lhs[amb.left_lhs]
@@ -250,7 +222,7 @@ def enumerate_ambiguities(rules):
     deterministically ordered.  The left rule always matches at offset 0
     of overlap_word; the right rule enters at offset > 0 (overlap) or
     sits strictly inside (inclusion)."""
-    rules = sorted(rules, key=lambda r: (len(r.lhs), r.lhs))
+    rules = sorted(rules, key=_rule_order)
     out = []
     for ri in rules:
         a = ri.lhs
@@ -259,28 +231,28 @@ def enumerate_ambiguities(rules):
             for off in range(1, len(a)):
                 if off + len(b) <= len(a):
                     if a[off : off + len(b)] == b:
-                        out.append(Ambiguity(a, b, a, off, "inclusion"))
+                        out.append(Ambiguity(a, b, a, off))
                 else:
                     t = len(a) - off
                     if a[off:] == b[:t]:
-                        out.append(Ambiguity(a, b, a + b[t:], off, "overlap"))
+                        out.append(Ambiguity(a, b, a + b[t:], off))
     return out
 
 
-def _monic(order: MonomialOrder, p: FreePoly) -> FreePoly:
-    _, lc = order.leading(p)
+def _monic(p: FreePoly) -> FreePoly:
+    _, lc = _leading(p)
     return p.scale(sc.ONE / lc)
 
 
-def interreduce(order: MonomialOrder, relations, max_rounds: int = 200) -> list:
+def interreduce(alg: Algebra, relations) -> list:
     """Reduce each relation by the others until stable; returns monic
     rules with pairwise irreducible left sides."""
-    polys = [_monic(order, p) for p in relations if not p.is_zero()]
+    polys = [_monic(p) for p in relations if not p.is_zero()]
     rounds = 0
     while True:
         rounds += 1
-        if rounds > max_rounds:
-            raise NonTerminating(f"interreduction did not stabilize over {order.alg.id}")
+        if rounds > MAX_ROUNDS:
+            raise NonTerminating(f"interreduction did not stabilize over {alg.id}")
         seen = set()
         unique = []
         for p in polys:
@@ -298,26 +270,20 @@ def interreduce(order: MonomialOrder, relations, max_rounds: int = 200) -> list:
             for j, q in enumerate(polys):
                 if j == i or q.is_zero():
                     continue
-                rule = orient(order, q)
+                rule = orient(q)
                 if rule.lhs not in taken:
                     taken.add(rule.lhs)
                     others.append(rule)
-            sys_i = RewriteSystem(order, others, closed=True)
-            red = sys_i.normal_form(polys[i])
+            red = RewriteSystem(alg, others).normal_form(polys[i])
             if red != polys[i]:
                 stable = False
-                polys[i] = _monic(order, red) if not red.is_zero() else red
+                polys[i] = _monic(red) if not red.is_zero() else red
         polys = [p for p in polys if not p.is_zero()]
         if stable:
-            return [orient(order, p) for p in polys]
+            return [orient(p) for p in polys]
 
 
-def complete(
-    order: MonomialOrder,
-    relations,
-    max_degree: int = 6,
-    max_rules: int = 128,
-) -> RewriteSystem:
+def complete(alg: Algebra, relations, max_degree: int = 6, max_rules: int = 128) -> RewriteSystem:
     """Knuth-Bendix style completion under a degree cap.
 
     Residuals of unresolved ambiguities are adjoined as rules and the set
@@ -325,11 +291,9 @@ def complete(
     returned system carries the certificate; closed means nothing was
     skipped for degree, which makes the diamond property global.
     """
-    relations = list(relations)
-    rules = interreduce(order, relations)
+    rules = interreduce(alg, relations)
     while True:
-        sys = RewriteSystem(order, rules, completed_through=max_degree, closed=True)
-        record = []
+        sys = RewriteSystem(alg, rules, completed_through=max_degree)
         fresh = []
         skipped = False
         for amb in enumerate_ambiguities(rules):
@@ -338,22 +302,13 @@ def complete(
                 continue
             residual = sys._ambiguity_resolves(amb)
             if residual is None:
-                record.append(
-                    Ambiguity(
-                        amb.left_lhs, amb.right_lhs, amb.overlap_word, amb.offset,
-                        amb.kind, resolved=True,
-                    )
-                )
+                sys.certificate.append(amb)
             else:
                 fresh.append(residual)
         if fresh:
             if len(rules) + len(fresh) > max_rules:
-                raise NonTerminating(
-                    f"completion exceeded {max_rules} rules over {order.alg.id}"
-                )
-            rules = interreduce(order, [r.poly() for r in rules] + fresh)
+                raise NonTerminating(f"completion exceeded {max_rules} rules over {alg.id}")
+            rules = interreduce(alg, [r.poly() for r in rules] + fresh)
             continue
-        sys.certificate = record
         sys.closed = not skipped
-        sys.relations = relations
         return sys

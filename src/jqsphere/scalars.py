@@ -23,18 +23,18 @@ holds exactly one canonical payload:
 These are the numerator and denominator that the usual cancellation
 over Z keeps, so height() and term_count() measure the reduced fraction.
 
-Two polynomials add, subtract and multiply term by term, with no gcd,
-monomials multiplying by an 8-wide tuple add.  Division by a constant
-divides the coefficients.  Any other division, and any operation with a
-fraction operand, builds a numerator and denominator and reduces them
-with _fraction: it clears rational coefficients and divides out the
-common monomial and integer content, which is the whole gcd when either
-side is a single term (the rho of k/rho).  Only when both sides still
-have several terms does it run a multivariate gcd: the heuristic gcd,
-with a recursive primitive PRS over the parameter order when the
-heuristic gives up, its result checked by exact division.  A constant
-denominator left over divides the numerator, so k/rho * rho is the
-polynomial k.
+Two polynomials add and multiply term by term, with no gcd, monomials
+multiplying by an 8-wide tuple add; x - y is x + (-y).  Division by a
+constant divides the coefficients.  Any other division, and any
+operation with a fraction operand, builds a numerator and denominator
+and reduces them with _fraction: it clears rational coefficients and
+divides out the common monomial and integer content, which is the whole
+gcd when either side is a single term (the rho of k/rho).  Only when
+both sides still have several terms does it run a multivariate gcd: the
+heuristic gcd, with a recursive primitive PRS in the parameter of least
+degree when the heuristic gives up, its result checked by exact
+division.  A constant denominator left over divides the numerator, so
+k/rho * rho is the polynomial k.
 Because every value has one payload, ==, hash and render need no
 special cases.
 
@@ -182,23 +182,6 @@ def _padd(a, b):
     return out
 
 
-def _psub(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        c0 = out.get(m)
-        if c0 is None:
-            out[m] = -c
-        else:
-            c0 -= c
-            if not c0:
-                del out[m]
-            elif type(c0) is int:
-                out[m] = c0
-            else:
-                out[m] = _rational(c0)
-    return out
-
-
 def _pmul(a, b):
     if len(a) > len(b):
         a, b = b, a
@@ -302,7 +285,7 @@ def _exquo(a, b):
         if r or min(shift) < 0:
             return None
         quo[shift] = c
-        rem = _psub(rem, _mul_term(b, shift, c))
+        rem = _padd(rem, _mul_term(b, shift, -c))
     return quo
 
 
@@ -332,7 +315,7 @@ def _gcd(a, b):
         return {tuple(map(min, *a, *b)): gcd(*a.values(), *b.values())}
     # the first parameter either involves
     i = next(i for i in range(len(_ZERO_MONOM)) if any(m[i] for m in chain(a, b)))
-    return _heuristic_gcd(a, b, i) or _prs_gcd(a, b, i)
+    return _heuristic_gcd(a, b, i) or _prs_gcd(a, b)
 
 
 def _heuristic_gcd(a, b, i):
@@ -394,10 +377,13 @@ def _content(p, i):
     return content
 
 
-def _prs_gcd(a, b, i):
-    """gcd(a, b) by the recursive primitive PRS, a and b free of every
-    parameter before x_i: the gcd of their contents as polynomials in
-    x_i times the last nonzero primitive pseudo-remainder."""
+def _prs_gcd(a, b):
+    """gcd(a, b) by the recursive primitive PRS in the parameter x_i of
+    least degree in a plus b, which keeps the pseudo-remainder sequence
+    short: the gcd of their contents as polynomials in x_i times the
+    last nonzero primitive pseudo-remainder."""
+    involved = [i for i in range(len(_ZERO_MONOM)) if any(m[i] for m in chain(a, b))]
+    i = min(involved, key=lambda i: _degree(a, i) + _degree(b, i))
     ca, cb = _content(a, i), _content(b, i)
     a, b = _quo(a, ca), _quo(b, cb)
     if _degree(a, i) < _degree(b, i):
@@ -424,7 +410,7 @@ def _prem(a, b, i):
             break
         lc_a = _coefficient(a, i, da)
         shift = tuple(int(j == i) * (da - db) for j in range(len(_ZERO_MONOM)))
-        a = _psub(_pmul(lc_b, a), _mul_term(_pmul(lc_a, b), shift, 1))
+        a = _padd(_pmul(lc_b, a), _mul_term(_pmul(lc_a, b), shift, -1))
     return a
 
 
@@ -490,20 +476,6 @@ def _add(x, y):
     return _fraction(_padd(_pmul(num, b[1]), _pmul(b[0], den)), _pmul(den, b[1]))
 
 
-def _sub(x, y):
-    a, b = x._v, y._v
-    if not b:
-        return x
-    if not a:
-        return Scalar(_negated(b))
-    if type(a) is dict and type(b) is dict:
-        if len(a) == 1 == len(b):
-            [(ma, ca)], [(mb, cb)] = a.items(), b.items()
-            return _binomial(ma, ca, mb, -cb)
-        return Scalar(_psub(a, b))
-    return _add(x, Scalar(_negated(b)))
-
-
 def _mul(x, y):
     a, b = x._v, y._v
     if not a:
@@ -555,7 +527,7 @@ def _div(x, y):
 
 
 Scalar.__add__, Scalar.__radd__ = _operators(_add)
-Scalar.__sub__, Scalar.__rsub__ = _operators(_sub)
+Scalar.__sub__, Scalar.__rsub__ = _operators(lambda x, y: _add(x, -y))
 Scalar.__mul__, Scalar.__rmul__ = _operators(_mul)
 Scalar.__truediv__, Scalar.__rtruediv__ = _operators(_div)
 

@@ -408,6 +408,24 @@ def test_catalog_without_det_relation_exits_2(tmp_path, capsys):
     assert "error: " in err and "no relation labelled 'det'" in err
 
 
+def test_pairing_with_swapped_factors_exits_2(tmp_path, capsys):
+    # env funh / fun uh with every pair swapped to match is a well-formed
+    # block, but the checks pair uh (env) with funh (fun)
+    data = perturbed_data_dir(
+        tmp_path, "env uh\nfun funh\n", "env funh\nfun uh\n", "maps.cat"
+    )
+    maps = data / "maps.cat"
+    swapped, count = re.subn(
+        r"^pair (\S+) (\S+) ->", r"pair \2 \1 ->", maps.read_text(), flags=re.M
+    )
+    assert count == 16
+    maps.write_text(swapped)
+    code, out, err = run_cli(capsys, "--catalog", str(data), "duality-axioms")
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+    assert err.endswith("pairing jordanian_duality must pair env uh with fun funh\n")
+
+
 def test_inconsistent_catalog_reports_an_error(tmp_path, capsys):
     # shifting the determinant constant collapses the whole presentation:
     # the cross relations already force that constant, so completion

@@ -27,7 +27,7 @@ from jqsphere.hopf import (
 )
 from jqsphere.jordanian import ENV, FUN, build_catalog
 from jqsphere.ncalg import Algebra, FreePoly, collect
-from jqsphere.rewrite import complete, deglex
+from jqsphere.rewrite import complete
 
 # group algebra of the integers: gi is the inverse of g
 G = Algebra("grp", ("g", "gi"))
@@ -45,7 +45,7 @@ SL2_RELS = [
 
 
 def gsystem():
-    return complete(deglex(G), [r for _, r in G_RELS], max_degree=6)
+    return complete(G, [r for _, r in G_RELS], max_degree=6)
 
 
 def group_hopf(antipode_images=None):
@@ -70,7 +70,7 @@ def group_hopf(antipode_images=None):
 
 
 def sl2_hopf():
-    sys = complete(deglex(SL2), [r for _, r in SL2_RELS], max_degree=6)
+    sys = complete(SL2, [r for _, r in SL2_RELS], max_degree=6)
     tnorm = tensor_normalizer(sys, sys)
     one = FreePoly.unit(SL2)
     prim = lambda p: FreePoly.of(p, one) + FreePoly.of(one, p)
@@ -147,7 +147,7 @@ def test_morphism_respects_relations_weyl_flip():
     W = Algebra("weyl", ("x", "y"))
     x, y = FreePoly.gen(W, "x"), FreePoly.gen(W, "y")
     rel = y * x - x * y - sc.h
-    sys = complete(deglex(W), [rel], max_degree=6)
+    sys = complete(W, [rel], max_degree=6)
     swap = GenMorphism(
         "swap", W, (W,), {"x": y, "y": x},
         param_map={"h": -sc.h},

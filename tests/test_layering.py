@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jqsphere"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jqsphere"
 
 
 def imported_roots(path):
@@ -203,3 +204,38 @@ def test_parsed_values_multiply_only_in_the_guard():
     checked, so no input multiplies past them."""
     assert multiplications(PACKAGE / "exprparse.py", MULTIPLYING) == []
     assert multiplications(PACKAGE / "exprparse.py", set())
+
+
+# install perfbench's tracer over the package, then run one check that
+# completes a rewrite system; prints the status, the completion calls
+# the tracer counted and the rules it saw
+TRACED_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from tracing import Tracer, install
+from jqsphere import checks, jordanian
+tracer = Tracer()
+install(tracer)
+tracer.begin_root()
+report = checks.run_check(jordanian.build_catalog(), "pbw-funh")
+tracer.end_root()
+print(report.status, tracer.totals("rewrite.complete")[0], tracer.rules)
+"""
+
+
+def test_the_benchmark_tracer_installs_over_the_package():
+    """perfbench/tracing.py wraps package functions, methods and
+    attributes by name, so a rename in the package breaks the benchmark's
+    traced mode; this finds it in a second, where the benchmark's own
+    test takes a minute.  It runs in a subprocess because install()
+    rebinds the package for the rest of the process."""
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_CHECK, str(PACKAGE.parent), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    status, completions, rules = out.stdout.split()
+    assert status == "pass"
+    assert int(completions) >= 1 and int(rules) > 0

@@ -1,6 +1,7 @@
 """Field arithmetic, canonicalization and substitution for exact scalars."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -70,8 +71,8 @@ def test_zero_unit_and_single_term_operands_skip_the_ring_operators(monkeypatch)
     def refuse(*args):
         raise AssertionError("a ring operator ran")
 
-    # the general polynomial sum, difference and product
-    for name in ("_padd", "_psub", "_pmul"):
+    # the general polynomial sum and product
+    for name in ("_padd", "_pmul"):
         monkeypatch.setattr(sc, name, refuse)
     units = (sc.ONE, fresh_one)
     for x in (sc.ZERO, *units, c, t, p, sc.k / sc.rho):
@@ -500,10 +501,35 @@ def test_gcd_matches_sympy(a, b, common):
     if len(a) > 1 and len(b) > 1:
         # the fallback on its own, and the heuristic whenever it succeeds
         i = first_parameter(a, b)
-        got.append(sc._prs_gcd(a, b, i))
+        got.append(sc._prs_gcd(a, b))
         got += [g for g in [sc._heuristic_gcd(a, b, i)] if g is not None]
     for g in got:
         assert ZRING.from_dict(g) in (want, -want)
+
+
+def test_prs_fallback_matches_sympy_on_sparse_pairs(monkeypatch):
+    # with the heuristic switched off every gcd, the contents' included,
+    # runs the PRS.  Seeded sparse pairs in seven parameters, 8 and 10
+    # terms of one or two parameters each times a common 3-term factor:
+    # the PRS in the first involved parameter did not finish the first
+    # three of them within a minute
+    monkeypatch.setattr(sc, "_heuristic_gcd", lambda a, b, i: None)
+    rng = random.Random(7)
+
+    def sparse(terms):
+        p = {}
+        while len(p) < terms:
+            m = [0] * NVARS
+            for _ in range(rng.randint(1, 2)):
+                m[rng.randrange(7)] += rng.randint(1, 2)
+            p[tuple(m)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return p
+
+    for _ in range(30):
+        common = sparse(3)
+        a, b = sc._pmul(sparse(8), common), sc._pmul(sparse(10), common)
+        want = ZRING.from_dict(a).gcd(ZRING.from_dict(b))
+        assert ZRING.from_dict(sc._gcd(a, b)) in (want, -want)
 
 
 # numerators and denominators with rational coefficients, the
