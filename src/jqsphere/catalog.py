@@ -52,45 +52,63 @@ from .ncalg import Algebra, FreePoly
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
+class _Spec:
+    """A parsed block, which keeps the path and header line of its block
+    so that a consistency check made later can point at it."""
+
+    def fail(self, message):
+        raise CatalogParseError(message, self.path, self.line, 1)
+
+
 @dataclass
-class Presentation:
+class Presentation(_Spec):
     name: str
     algebra: Algebra
     params: tuple
     relations: list  # (label, FreePoly)
+    path: str
+    line: int
 
 
 @dataclass
-class MorphismSpec:
+class MorphismSpec(_Spec):
     name: str
     source: Algebra
     target: tuple  # algebra slots: () scalar, (A,) or (A, B)
     parity: str
     param_map: dict  # name -> Scalar
     images: dict  # generator name -> FreePoly over target
+    path: str
+    line: int
 
 
 @dataclass
-class MatrixSpec:
+class MatrixSpec(_Spec):
     name: str
     algebra: Algebra
     labels: tuple
     entries: dict  # (row label, col label) -> FreePoly
+    path: str
+    line: int
 
 
 @dataclass
-class ElementSpec:
+class ElementSpec(_Spec):
     name: str
     algebra: Algebra
     poly: FreePoly
+    path: str
+    line: int
 
 
 @dataclass
-class PairingSpec:
+class PairingSpec(_Spec):
     name: str
     env: Algebra
     fun: Algebra
     table: dict  # (env gen name, fun gen name) -> Scalar
+    path: str
+    line: int
 
 
 @dataclass
@@ -280,7 +298,7 @@ def _build_algebra(block, data):
             counter += 1
             label = f"r{counter}"
         relations.append((label, expr.element(algebra, gmap, "relations", pmap)))
-    return Presentation(block.name, algebra, params, relations)
+    return Presentation(block.name, algebra, params, relations, block.path, block.line)
 
 
 def _resolve_target(item, data):
@@ -331,7 +349,9 @@ def _build_morphism(block, data):
     if missing:
         block.fail(f"morphism {block.name} missing images for: {', '.join(missing)}")
     parity = fields["parity"] or "hom"
-    return MorphismSpec(block.name, source, target, parity, dict(fields["param"]), images)
+    return MorphismSpec(
+        block.name, source, target, parity, dict(fields["param"]), images, block.path, block.line
+    )
 
 
 def _build_matrix(block, data):
@@ -357,7 +377,7 @@ def _build_matrix(block, data):
         for c in labels:
             if (r, c) not in entries:
                 block.fail(f"matrix {block.name} is missing entry {r} {c}")
-    return MatrixSpec(block.name, algebra, labels, entries)
+    return MatrixSpec(block.name, algebra, labels, entries, block.path, block.line)
 
 
 def _read_poly(item, fields):
@@ -371,7 +391,7 @@ def _build_element(block, data):
     fields = block.read(
         {"over": _lookup(data), "poly": _read_poly}, required=("over", "poly")
     )
-    return ElementSpec(block.name, fields["over"], fields["poly"])
+    return ElementSpec(block.name, fields["over"], fields["poly"], block.path, block.line)
 
 
 def _build_pairing(block, data):
@@ -388,7 +408,7 @@ def _build_pairing(block, data):
         if len(names) != 2:
             item.fail("pair needs 'UGEN AGEN -> value'")
         table[(item.gen(env, names[0]), item.gen(fun, names[1]))] = rhs.parse()
-    return PairingSpec(block.name, env, fun, table)
+    return PairingSpec(block.name, env, fun, table, block.path, block.line)
 
 
 # block kind -> (builder, the CatalogData table it fills)

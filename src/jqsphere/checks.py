@@ -288,7 +288,10 @@ def check_duality_axioms(cat):
         [w for w in fun_words if len(w) <= 2],
     )
     fun_labels = {aw: dp.fun.alg.render_word(aw) for aw in fun_words}
-    # dp peels function-side letters first, its transpose enveloping-side ones
+    # dp peels function-side letters first, contracting uh coproducts; its
+    # transpose peels enveloping-side letters, contracting funh coproducts.
+    # Each direction keeps its own memos, so these rows compare two
+    # independent recursions.
     for uw in env_words:
         prefix = f"transpose:{dp.env.alg.render_word(uw)};"
         for aw in fun_words:

@@ -148,22 +148,22 @@ class Catalog:
             raise CatalogParseError(
                 "catalog is missing standard entries: " + ", ".join(missing)
             )
+        # each error below points at the header of the block at fault
         fun = self.algebra(FUN)
-        if DET_LABEL not in {label for label, _ in self.data.presentations[FUN].relations}:
-            raise CatalogParseError(f"algebra {FUN} has no relation labelled {DET_LABEL!r}")
-        labels = self.data.matrices[MATRIX].labels
+        funh = self.data.presentations[FUN]
+        if DET_LABEL not in {label for label, _ in funh.relations}:
+            funh.fail(f"algebra {FUN} has no relation labelled {DET_LABEL!r}")
+        matrix = self.data.matrices[MATRIX]
         for side in SIDES:
             gens = self.algebra(side.sphere).gens
             for label, gname in side.axes:
-                if label not in labels or gname not in gens:
-                    raise CatalogParseError(
-                        f"matrix label {label!r} / generator {gname!r} not found"
-                    )
-        if self.data.matrices[MATRIX].algebra is not fun:
-            raise CatalogParseError(f"matrix {MATRIX} must live over {FUN}")
+                if label not in matrix.labels or gname not in gens:
+                    matrix.fail(f"matrix label {label!r} / generator {gname!r} not found")
+        if matrix.algebra is not fun:
+            matrix.fail(f"matrix {MATRIX} must live over {FUN}")
         pairing = self.data.pairings[PAIRING]
         if pairing.env is not self.algebra(ENV) or pairing.fun is not fun:
-            raise CatalogParseError(f"pairing {PAIRING} must pair env {ENV} with fun {FUN}")
+            pairing.fail(f"pairing {PAIRING} must pair env {ENV} with fun {FUN}")
 
     # -- binding plumbing ------------------------------------------------
 

@@ -10,16 +10,26 @@ to T when only the enveloping word can be split.  The duality check
 compares both directions on every word pair instead of assuming they
 agree.
 
-Each word-level value is computed once.  Evaluation is memoized on word
-pairs, one memo per direction; these are the only memos that outlive a
-call, they are pure, and clear_cache empties them without changing
-results.  The recursion splits a word through the coproduct's cached
-word image.  Everything else is reused only within one call: an action
-pairs each word of its paired tensor leg once, the axiom check
-computes each coproduct, antipode and product once in the loop where it
-is invariant, and the invariance check expands a product into its
-normal words by linearity and acts on each distinct word, and with each
-leg of the element's coproduct on each generator, once.
+Each word-level value is computed once.  Two memos per direction
+outlive a call: the values on word pairs, and the contraction of each
+word u by each letter g of the other side, sum <u(1), g> u(2) over the
+coproduct's cached word image, with equal second legs merged and zero
+coefficients dropped.  Both are pure, and clear_cache empties them
+without changing results.  The recursion sums <u, g . rest> over that
+contraction, so it walks the coproduct of u once per letter rather than
+once per rest, and it multiplies only terms that can be nonzero.
+
+Everything else is reused only within one call.  An action pairs each
+word of its paired tensor leg once.  The axiom check computes each
+coproduct, antipode and product once in the loop where it is invariant.
+Its product rows, run once per side, read each <x, -> once as a sparse
+row over the split legs, form c <x, a1> once per (x, a) merged by the
+second leg, and add only nonzero products; the direct side skips zero
+pairing values.  The invariance check expands a product into its normal
+words by linearity and acts on each distinct word, and with each leg of
+the element's coproduct on each generator, once; its crossed side sums
+sum c (u1 . a)(u2 . b) as the sum over the distinct first legs u1 of
+(u1 . a)(sum c (u2 . b)), one product per first leg.
 
 pair_words takes words; pair takes polynomials and reduces them to
 normal form first.  The invariance check takes the action as a function
@@ -74,15 +84,18 @@ class DualPairing:
                             "of length > 1; recursive pairing needs letters"
                         )
         self._memo = {}
+        self._contracted = {}
         # the checks above read the same with env and fun swapped
         self.T = transpose = object.__new__(DualPairing)
         transpose.env, transpose.fun, transpose.T = fun, env, self
         transpose.base = {(ai, ui): value for (ui, ai), value in self.base.items()}
         transpose._memo = {}
+        transpose._contracted = {}
 
     def clear_cache(self):
-        self._memo = {}
-        self.T._memo = {}
+        for dp in (self, self.T):
+            dp._memo = {}
+            dp._contracted = {}
 
     # -- word-level recursion -----------------------------------------
 
@@ -99,15 +112,28 @@ class DualPairing:
             return self.T.pair_words(aw, uw)
         if len(aw) == 1:
             return self.base[(uw[0], aw[0])]
-        # <u, g . rest> = sum <u(1), g> <u(2), rest>
-        g, rest = aw[:1], aw[1:]
+        # <u, g . rest> = sum <u(1), g> <u(2), rest>, over the contraction by g
+        rest = aw[1:]
         total = sc.ZERO
-        for (u1, u2), c in self.env.coproduct.word_image(uw).terms.items():
-            left = self.pair_words(u1, g)
-            if not left:
-                continue
-            total = total + c * left * self.pair_words(u2, rest)
+        for u2, d in self._contract(uw, aw[0]):
+            val = self.pair_words(u2, rest)
+            if val:
+                total = total + d * val
         return total
+
+    def _contract(self, uw, g):
+        """The contraction sum <u(1), g> u(2) of uw by the letter g, as
+        (u(2), coefficient) pairs with equal second legs merged and zero
+        coefficients dropped."""
+        legs = self._contracted.get((uw, g))
+        if legs is None:
+            split = self.env.coproduct.word_image(uw).terms.items()
+            legs = self._contracted[(uw, g)] = _gathered(
+                (u2, c * left)
+                for (u1, u2), c in split
+                if (left := self.pair_words(u1, (g,)))
+            )
+        return legs
 
     # -- polynomial level ----------------------------------------------
 
@@ -152,16 +178,26 @@ class DualPairing:
         return self.fun.system.normal_form(t.map_slot(0, self._paired(u), ()))
 
 
+def _gathered(terms):
+    """The (key, scalar) terms summed by key, as (key, total) pairs with
+    the zero totals dropped."""
+    out = {}
+    for key, c in terms:
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    return tuple((key, c) for key, c in out.items() if c)
+
+
 # -- higher-level checks ------------------------------------------------
 
-def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2) -> list:
+def check_pairing_axioms(dp: DualPairing, env_words, fun_words) -> list:
     """Bialgebra compatibility of the pairing on the given normal words:
     products on one side split through coproducts on the other, units
     pair by counits, antipodes transpose.  Returns (label, value) pairs
     for every identity that failed, with the nonzero difference rendered.
 
     The words are normal, so the unit rows and the split legs pair them
-    as words; products and antipodes are polynomials and go through pair."""
+    as words; products and antipodes are polynomials in normal form."""
     bad = []
     env, fun = dp.env, dp.fun
     env_polys = {w: FreePoly.from_word(env.alg, w) for w in env_words}
@@ -169,34 +205,18 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
     # labels are rendered once per word, not once per identity checked
     ew = {w: env.alg.render_word(w) for w in env_polys}
     fw = {w: fun.alg.render_word(w) for w in fun_polys}
-    short_env = [w for w in env_polys if len(w) <= product_depth]
-    short_fun = [w for w in fun_polys if len(w) <= product_depth]
     for uw, u in env_polys.items():
         collect(bad, f"unit-fun:{ew[uw]}", dp.pair_words(uw, ()), env.counit.scalar(u))
     for aw, a in fun_polys.items():
         collect(bad, f"unit-env:{fw[aw]}", dp.pair_words((), aw), fun.counit.scalar(a))
-    # coproducts, antipodes and products are computed once, in the loop
-    # they are invariant in, and paired in normal form
-    fun_splits = {aw: fun.coproduct(a).terms.items() for aw, a in fun_polys.items()}
-    for uw in short_env:
-        for vw in short_env:
-            uv = env.system.normal_form(env_polys[uw] * env_polys[vw])
-            for aw, a in fun_polys.items():
-                split = sc.ZERO
-                for (a1, a2), c in fun_splits[aw]:
-                    split = split + c * dp.pair_words(uw, a1) * dp.pair_words(vw, a2)
-                label = f"product-env:{ew[uw]};{ew[vw]};{fw[aw]}"
-                collect(bad, label, dp._pair_normal(uv, a), split)
-    env_splits = {uw: env.coproduct(u).terms.items() for uw, u in env_polys.items()}
-    for aw in short_fun:
-        for bw in short_fun:
-            ab = fun.system.normal_form(fun_polys[aw] * fun_polys[bw])
-            for uw, u in env_polys.items():
-                split = sc.ZERO
-                for (u1, u2), c in env_splits[uw]:
-                    split = split + c * dp.pair_words(u1, aw) * dp.pair_words(u2, bw)
-                label = f"product-fun:{ew[uw]};{fw[aw]};{fw[bw]}"
-                collect(bad, label, dp._pair_normal(u, ab), split)
+    _check_products(
+        bad, dp.pair_words, env, env_polys, fun, fun_polys,
+        lambda u, v, a: f"product-env:{ew[u]};{ew[v]};{fw[a]}",
+    )
+    _check_products(
+        bad, lambda a, u: dp.pair_words(u, a), fun, fun_polys, env, env_polys,
+        lambda a, b, u: f"product-fun:{ew[u]};{fw[a]};{fw[b]}",
+    )
     fun_antipodes = {aw: fun.system.normal_form(fun.antipode(a)) for aw, a in fun_polys.items()}
     for uw, u in env_polys.items():
         su = env.system.normal_form(env.antipode(u))
@@ -204,6 +224,40 @@ def check_pairing_axioms(dp: DualPairing, env_words, fun_words, product_depth=2)
             got = dp._pair_normal(su, a)
             collect(bad, f"antipode:{ew[uw]};{fw[aw]}", got, dp._pair_normal(u, fun_antipodes[aw]))
     return bad
+
+
+def _check_products(bad, pair, side, polys, other, other_polys, label):
+    """<x y, a> against sum c <x, a1> <y, a2> over the coproduct of a, for
+    x, y among polys (normal words of side) and a among other_polys, in
+    that loop order.  pair(x, a) is the pairing with side's word first.
+
+    Only terms that can be nonzero are summed: each x contracts the first
+    legs of each a's coproduct once, into sum c <x, a1> per second leg;
+    each y pairs the second legs once, as a sparse row; the direct side
+    skips zero pairing values."""
+    splits = {a: other.coproduct(p).terms.items() for a, p in other_polys.items()}
+    firsts = {
+        (x, a): _gathered((a2, c * v) for (a1, a2), c in split if (v := pair(x, a1)))
+        for x in polys
+        for a, split in splits.items()
+    }
+    second_legs = dict.fromkeys(a2 for split in splits.values() for (_, a2), _ in split)
+    rows = {y: {a2: v for a2 in second_legs if (v := pair(y, a2))} for y in polys}
+    nf = side.system.normal_form
+    for x, xp in polys.items():
+        for y, yp in polys.items():
+            xy = nf(xp * yp).terms.items()
+            row = rows[y]
+            for a in splits:
+                split = sc.ZERO
+                for a2, d in firsts[x, a]:
+                    if a2 in row:
+                        split = split + d * row[a2]
+                direct = sc.ZERO
+                for (w,), c in xy:
+                    if v := pair(w, a):
+                        direct = direct + c * v
+                collect(bad, label(x, y, a), direct, split)
 
 
 def check_pairing_annihilates(dp: DualPairing, relations, words) -> list:
@@ -260,21 +314,28 @@ def check_invariance(dp: DualPairing, element: FreePoly, generators, act) -> lis
     fun = dp.fun
     # the direct side acts on each normal word of a product once
     on_word = functools.cache(lambda w: act(element, FreePoly.from_word(fun.alg, w)))
-    # the crossed side acts with each leg of the split on each generator once
+    # the crossed side acts with each leg of the split on each generator
+    # once, and sums sum c (u1 . a)(u2 . b) as the sum over the distinct
+    # first legs u1 of (u1 . a)(sum c (u2 . b))
     split = dp.env.coproduct(dp.env.system.normal_form(element))
     legs = {u for key in split.terms for u in key}
     on_gen = {
         (u, la): act(FreePoly.from_word(dp.env.alg, u), a) for u in legs for la, a in gens
+    }
+    by_first = {}
+    for (u1, u2), c in split.terms.items():
+        by_first.setdefault(u1, []).append((u2, c))
+    on_seconds = {
+        (u1, lb): FreePoly.combine((fun.alg,), (on_gen[u2, lb].scale(c) for u2, c in seconds))
+        for u1, seconds in by_first.items()
+        for lb, _ in gens
     }
     for la, a in gens:
         for lb, b in gens:
             words = fun.system.normal_form(a * b).terms.items()
             direct = FreePoly.combine((fun.alg,), (on_word(w).scale(c) for (w,), c in words))
             collect_cleared(bad, f"product:{la}*{lb}", den, direct)
-            parts = (
-                (on_gen[u1, la] * on_gen[u2, lb]).scale(c)
-                for (u1, u2), c in split.terms.items()
-            )
+            parts = (on_gen[u1, la] * on_seconds[u1, lb] for u1 in by_first)
             crossed = fun.system.normal_form(FreePoly.combine((fun.alg,), parts))
             collect_cleared(bad, f"product-split:{la}*{lb}", den, crossed, direct)
     return bad

@@ -384,6 +384,11 @@ def perturbed_data_dir(tmp_path, needle, replacement, filename):
     return data
 
 
+def header_line(path, header):
+    """The 1-based number of the line of path that reads header."""
+    return path.read_text().splitlines().index(header) + 1
+
+
 def test_failing_check_exits_1(tmp_path, capsys):
     # halving one matrix entry breaks the group-like property, nothing else
     data = perturbed_data_dir(
@@ -406,6 +411,27 @@ def test_catalog_without_det_relation_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--catalog", str(data), "determinant", "scaling-left")
     assert code == 2 and not out
     assert "error: " in err and "no relation labelled 'det'" in err
+    # the error points at the header of the funh algebra block
+    assert f"{data / 'funh.cat'}:{header_line(data / 'funh.cat', 'algebra funh')}:1:" in err
+
+
+def test_matrix_with_unknown_label_exits_2(tmp_path, capsys):
+    # renaming the row label p to q keeps the matrix well-formed, but the
+    # sphere axes name the row p
+    data = perturbed_data_dir(tmp_path, "rows m z p\n", "rows m z q\n", "maps.cat")
+    maps = data / "maps.cat"
+    renamed, count = re.subn(
+        r"^entry (\S) (\S) :",
+        lambda m: "entry " + " ".join("q" if x == "p" else x for x in m.groups()) + " :",
+        maps.read_text(),
+        flags=re.M,
+    )
+    assert count == 9
+    maps.write_text(renamed)
+    code, out, err = run_cli(capsys, "--catalog", str(data), "determinant")
+    assert code == 2 and not out
+    assert err.startswith(f"error: {maps}:{header_line(maps, 'matrix monodromy')}:1: ")
+    assert err.endswith("matrix label 'p' / generator 'xp' not found\n")
 
 
 def test_pairing_with_swapped_factors_exits_2(tmp_path, capsys):
@@ -422,7 +448,7 @@ def test_pairing_with_swapped_factors_exits_2(tmp_path, capsys):
     maps.write_text(swapped)
     code, out, err = run_cli(capsys, "--catalog", str(data), "duality-axioms")
     assert code == 2 and not out
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {maps}:{header_line(maps, 'pairing jordanian_duality')}:1: ")
     assert err.endswith("pairing jordanian_duality must pair env uh with fun funh\n")
 
 

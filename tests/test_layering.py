@@ -217,9 +217,14 @@ from jqsphere import checks, jordanian
 tracer = Tracer()
 install(tracer)
 tracer.begin_root()
-report = checks.run_check(jordanian.build_catalog(), "pbw-funh")
+cat = jordanian.build_catalog()
+report = checks.run_check(cat, "pbw-funh")
+duality = checks.run_check(cat, "duality-welldefined")
 tracer.end_root()
+calls, misses, _ = tracer.totals("pairing.pair_words")
+dp = cat.pairing()
 print(report.status, tracer.totals("rewrite.complete")[0], tracer.rules)
+print(duality.status, calls, misses, len(dp._memo) + len(dp.T._memo))
 """
 
 
@@ -228,7 +233,10 @@ def test_the_benchmark_tracer_installs_over_the_package():
     attributes by name, so a rename in the package breaks the benchmark's
     traced mode; this finds it in a second, where the benchmark's own
     test takes a minute.  It runs in a subprocess because install()
-    rebinds the package for the rest of the process."""
+    rebinds the package for the rest of the process.  The pairing check
+    shows that the recursion still goes through the wrapped pair_words:
+    if it called a private method instead, the traced calls and misses
+    would undercount it without any error."""
     out = subprocess.run(
         [sys.executable, "-c", TRACED_CHECK, str(PACKAGE.parent), str(ROOT / "perfbench")],
         capture_output=True,
@@ -236,6 +244,13 @@ def test_the_benchmark_tracer_installs_over_the_package():
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    status, completions, rules = out.stdout.split()
+    first, second = out.stdout.splitlines()
+    status, completions, rules = first.split()
     assert status == "pass"
     assert int(completions) >= 1 and int(rules) > 0
+    # the recursion goes through the public pair_words, so the traced
+    # misses are exactly the entries of the two word-pair memos
+    status, calls, misses, memo = second.split()
+    assert status == "pass"
+    assert int(calls) > 0
+    assert int(misses) == int(memo)
