@@ -324,15 +324,9 @@ def parse_value(
     return value
 
 
-def parse_scalar(text, params=None, path="<expr>", line=1, col_offset=0):
+def parse_scalar(text, path="<expr>"):
     """Parse a pure scalar expression (CLI parameter values)."""
-    value = parse_value(
-        text, params=params if params is not None else sc.PARAMS,
-        path=path, line=line, col_offset=col_offset,
-    )
-    if not _is_scalar(value):
-        raise CatalogParseError("expected a scalar expression", path, line, col_offset + 1)
-    return value
+    return parse_value(text, sc.PARAMS, path=path)
 
 
 def gen_map(alg):

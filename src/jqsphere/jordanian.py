@@ -3,9 +3,11 @@
 The loader in :mod:`jqsphere.catalog` only parses; this module applies a
 set of parameter bindings uniformly and hands out the derived objects:
 completed rewrite systems, Hopf structure, matrix entries, coactions,
-embeddings, the dual pairing and the distinguished elements.  Everything
-is cached per binding set, since verification checks routinely need the
-same algebra both fully bound and with a few parameters kept symbolic.
+embeddings, the dual pairing and the distinguished elements.  Rewrite
+systems and morphisms are cached per binding set, since verification
+checks routinely need the same algebra both fully bound and with a few
+parameters kept symbolic; the coactions and the pairing take the base
+bindings only and are built once.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class Catalog:
         self._systems = {}
         self._morphisms = {}
         self._coactions = {}
-        self._pairings = {}
+        self._pairing = None
         self._validate()
 
     def _validate(self):
@@ -164,6 +166,25 @@ class Catalog:
         pairing = self.data.pairings[PAIRING]
         if pairing.env is not self.algebra(ENV) or pairing.fun is not fun:
             pairing.fail(f"pairing {PAIRING} must pair env {ENV} with fun {FUN}")
+        # (source, target slots) of each standard morphism
+        types = {}
+        for a in (fun, self.algebra(ENV)):
+            types[f"{a.id}_coproduct"] = (a, (a, a))
+            types[f"{a.id}_counit"] = (a, ())
+            types[f"{a.id}_antipode"] = (a, (a,))
+        for side in SIDES:
+            types[side.embed] = types[side.limit] = (self.algebra(side.sphere), (fun,))
+        left, right = self.algebra(SPHERE_LEFT), self.algebra(SPHERE_RIGHT)
+        types[SPHERE_ISO] = (left, (right,))
+        types[SPHERE_ISO_INVERSE] = (right, (left,))
+        for name in MORPHISMS:
+            spec = self.data.morphisms[name]
+            source, target = types[name]
+            if spec.source is not source or spec.target != target:
+                spec.fail(
+                    f"morphism {name} must map {source.id} to "
+                    + (" @ ".join(a.id for a in target) or "scalar")
+                )
 
     # -- binding plumbing ------------------------------------------------
 
@@ -226,20 +247,19 @@ class Catalog:
             )
         return self._morphisms[key]
 
-    def hopf(self, name, bindings=None):
-        b = self._bound(bindings)
+    def hopf(self, name):
         return HopfStructure(
-            self.system(name, b),
-            self.morphism(f"{name}_coproduct", b),
-            self.morphism(f"{name}_counit", b),
-            self.morphism(f"{name}_antipode", b),
+            self.system(name),
+            self.morphism(f"{name}_coproduct"),
+            self.morphism(f"{name}_counit"),
+            self.morphism(f"{name}_antipode"),
         )
 
     # -- matrix and coactions ----------------------------------------------
 
-    def matrix(self, bindings=None):
+    def matrix(self):
         """Monodromy entries keyed by (row label, column label)."""
-        b = self._bound(bindings)
+        b = self.bindings
         spec = self.data.matrices[MATRIX]
         if not b:
             return dict(spec.entries)
@@ -249,18 +269,16 @@ class Catalog:
     def matrix_labels(self):
         return self.data.matrices[MATRIX].labels
 
-    def coaction(self, side, bindings=None):
+    def coaction(self, side):
         """Tensor-valued morphism turning a side's sphere into a funh
         comodule: each component goes to the matrix entries of its axis
         (see Side) tensor the components, with funh in slot side.fun_slot.
         """
-        b = self._bound(bindings)
-        key = (side.name, _bkey(b))
-        if key in self._coactions:
-            return self._coactions[key]
+        if side.name in self._coactions:
+            return self._coactions[side.name]
         sphere = self.algebra(side.sphere)
         target = side.order(self.algebra(FUN), sphere)
-        entries = self.matrix(b)
+        entries = self.matrix()
         comps = [(olabel, FreePoly.gen(sphere, oname)) for olabel, oname in side.axes]
         images = {}
         for label, gname in side.axes:
@@ -271,25 +289,22 @@ class Catalog:
             sphere,
             target,
             images,
-            normalize=self._normalizer(target, b),
+            normalize=self._normalizer(target, self.bindings),
         )
-        self._coactions[key] = morph
+        self._coactions[side.name] = morph
         return morph
 
     # -- pairing and elements ------------------------------------------------
 
-    def pairing(self, bindings=None):
-        b = self._bound(bindings)
-        key = _bkey(b)
-        if key not in self._pairings:
+    def pairing(self):
+        if self._pairing is None:
+            b = self.bindings
             spec = self.data.pairings[PAIRING]
             table = {
                 pair: sc.substitute(v, b) if b else v for pair, v in spec.table.items()
             }
-            self._pairings[key] = DualPairing(
-                self.hopf(ENV, b), self.hopf(FUN, b), table
-            )
-        return self._pairings[key]
+            self._pairing = DualPairing(self.hopf(ENV), self.hopf(FUN), table)
+        return self._pairing
 
     def element(self, name, bindings=None, required=True):
         """A named element with bindings applied.

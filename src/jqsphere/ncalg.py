@@ -57,9 +57,6 @@ class Algebra:
         except KeyError:
             raise KeyError(f"algebra {self.id} has no generator {name!r}") from None
 
-    def word(self, *names) -> Word:
-        return tuple(self._index[n] for n in names)
-
     def render_word(self, word: Word) -> str:
         if not word:
             return "1"
@@ -146,8 +143,8 @@ class FreePoly:
         return cls((alg,), {((alg.index(name),),): sc.ONE})
 
     @classmethod
-    def from_word(cls, alg, word, coeff=sc.ONE):
-        return cls((alg,), {(tuple(word),): _coeff(coeff)})
+    def from_word(cls, alg, word):
+        return cls((alg,), {(tuple(word),): sc.ONE})
 
     @classmethod
     def of(cls, *factors):

@@ -14,10 +14,11 @@ Each word-level value is computed once.  Two memos per direction
 outlive a call: the values on word pairs, and the contraction of each
 word u by each letter g of the other side, sum <u(1), g> u(2) over the
 coproduct's cached word image, with equal second legs merged and zero
-coefficients dropped.  Both are pure, and clear_cache empties them
-without changing results.  The recursion sums <u, g . rest> over that
-contraction, so it walks the coproduct of u once per letter rather than
-once per rest, and it multiplies only terms that can be nonzero.
+coefficients dropped.  Both are pure and live as long as the pairing,
+so a new DualPairing starts with them empty.  The recursion sums
+<u, g . rest> over that contraction, so it walks the coproduct of u once
+per letter rather than once per rest, and it multiplies only terms that
+can be nonzero.
 
 Everything else is reused only within one call.  An action pairs each
 word of its paired tensor leg once.  The axiom check computes each
@@ -63,17 +64,16 @@ class DualPairing:
     def __init__(self, env: HopfStructure, fun: HopfStructure, base: dict):
         self.env = env
         self.fun = fun
-        self.base = {}
+        # generator pairs the table does not list pair to zero
+        self.base = {
+            (ui, ai): sc.ZERO
+            for ui in range(len(env.alg.gens))
+            for ai in range(len(fun.alg.gens))
+        }
         for (ug, ag), value in base.items():
             ui = ug if isinstance(ug, int) else env.alg.index(ug)
             ai = ag if isinstance(ag, int) else fun.alg.index(ag)
             self.base[(ui, ai)] = value
-        for ui in range(len(env.alg.gens)):
-            for ai in range(len(fun.alg.gens)):
-                if (ui, ai) not in self.base:
-                    raise ValueError(
-                        f"base table misses <{env.alg.gens[ui]}, {fun.alg.gens[ai]}>"
-                    )
         for side, hopf in (("env", env), ("fun", fun)):
             for i in range(len(hopf.alg.gens)):
                 img = hopf.coproduct(FreePoly.from_word(hopf.alg, (i,)))
@@ -91,11 +91,6 @@ class DualPairing:
         transpose.base = {(ai, ui): value for (ui, ai), value in self.base.items()}
         transpose._memo = {}
         transpose._contracted = {}
-
-    def clear_cache(self):
-        for dp in (self, self.T):
-            dp._memo = {}
-            dp._contracted = {}
 
     # -- word-level recursion -----------------------------------------
 

@@ -25,8 +25,9 @@ from .errors import (
 )
 from .ncalg import Algebra, FreePoly, Word, all_words, grlex
 
-# interreduction rounds before NonTerminating
+# interreduction rounds, and rules a completion may reach, before NonTerminating
 MAX_ROUNDS = 200
+MAX_RULES = 128
 
 
 def _leading(p: FreePoly):
@@ -159,37 +160,6 @@ class RewriteSystem:
     def reduces_to_zero(self, p: FreePoly) -> bool:
         return self.normal_form(p).is_zero()
 
-    def clear_cache(self):
-        self._memo = {}
-
-    def reduce_with_trace(self, p: FreePoly):
-        """Slow single-step reduction that records its ideal bookkeeping.
-
-        Returns (nf, steps) where steps is a list of (coeff, left word,
-        rule, right word) and p - nf equals the sum of
-        coeff * left * (lhs - rhs) * right expanded in the free algebra.
-        """
-        steps = []
-        cur = p
-        while True:
-            target = None
-            for (w,), c in cur.sorted_terms():
-                hit = self.find_redex(w)
-                if hit is not None:
-                    target = (w, c, hit)
-                    break
-            if target is None:
-                return cur, steps
-            w, c, (pos, rule) = target
-            head, tail = w[:pos], w[pos + len(rule.lhs) :]
-            replaced = (
-                FreePoly.from_word(self.alg, head)
-                * rule.rhs
-                * FreePoly.from_word(self.alg, tail)
-            )
-            cur = cur - FreePoly.from_word(self.alg, w, c) + replaced.scale(c)
-            steps.append((c, head, rule, tail))
-
     # -- certificates ------------------------------------------------
 
     def verify_certificate(self) -> bool:
@@ -283,7 +253,7 @@ def interreduce(alg: Algebra, relations) -> list:
             return [orient(p) for p in polys]
 
 
-def complete(alg: Algebra, relations, max_degree: int = 6, max_rules: int = 128) -> RewriteSystem:
+def complete(alg: Algebra, relations, max_degree: int = 6) -> RewriteSystem:
     """Knuth-Bendix style completion under a degree cap.
 
     Residuals of unresolved ambiguities are adjoined as rules and the set
@@ -306,8 +276,8 @@ def complete(alg: Algebra, relations, max_degree: int = 6, max_rules: int = 128)
             else:
                 fresh.append(residual)
         if fresh:
-            if len(rules) + len(fresh) > max_rules:
-                raise NonTerminating(f"completion exceeded {max_rules} rules over {alg.id}")
+            if len(rules) + len(fresh) > MAX_RULES:
+                raise NonTerminating(f"completion exceeded {MAX_RULES} rules over {alg.id}")
             rules = interreduce(alg, [r.poly() for r in rules] + fresh)
             continue
         sys.closed = not skipped

@@ -452,6 +452,19 @@ def test_pairing_with_swapped_factors_exits_2(tmp_path, capsys):
     assert err.endswith("pairing jordanian_duality must pair env uh with fun funh\n")
 
 
+def test_standard_morphism_with_the_wrong_target_exits_2(tmp_path, capsys):
+    # a counit into uh is a well-formed morphism block, but the Hopf
+    # checks need uh_counit to map uh to the scalars
+    data = perturbed_data_dir(
+        tmp_path, "source uh\ntarget scalar\n", "source uh\ntarget uh\n", "uh.cat"
+    )
+    uh = data / "uh.cat"
+    code, out, err = run_cli(capsys, "--catalog", str(data), "hopf-uh")
+    assert code == 2 and not out
+    assert err.startswith(f"error: {uh}:{header_line(uh, 'morphism uh_counit')}:1: ")
+    assert err.endswith("morphism uh_counit must map uh to scalar\n")
+
+
 def test_inconsistent_catalog_reports_an_error(tmp_path, capsys):
     # shifting the determinant constant collapses the whole presentation:
     # the cross relations already force that constant, so completion

@@ -71,12 +71,6 @@ def test_zero_to_the_zero_is_one():
     assert sc.ZERO**0 == sc.ONE and (sc.k / sc.rho) ** 0 == sc.ONE
 
 
-def test_parse_scalar_rejects_polynomial_values():
-    # a caller supplying polynomial bindings still gets a scalar or an error
-    with pytest.raises(CatalogParseError, match="expected a scalar"):
-        parse_scalar("w", params={"w": X})
-
-
 # -- polynomial structure ---------------------------------------------
 
 

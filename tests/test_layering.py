@@ -206,6 +206,79 @@ def test_parsed_values_multiply_only_in_the_guard():
     assert multiplications(PACKAGE / "exprparse.py", set())
 
 
+# the code whose uses keep a public name of the package alive; tests
+# do not count, so surface that only tests reach is found and deleted
+USERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+
+
+def public_definitions(path):
+    """(kind, name) of each public module-level function or class
+    ("name") and each public method ("attr") that a module defines."""
+    defined = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defined.append(("name", node.name))
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                ("attr", item.name)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    return defined
+
+
+def used_names(paths):
+    """The names (loaded, or imported) and the attribute names that
+    the modules in paths use."""
+    names, attrs = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def unused_public_names(modules, users):
+    """(module, name) of each public definition in modules that users
+    never reach: a function or class by name, import or module
+    attribute, a method as an attribute."""
+    names, attrs = used_names(users)
+    return [
+        (path.name, name)
+        for path in modules
+        for kind, name in public_definitions(path)
+        if name not in attrs and (kind == "attr" or name not in names)
+    ]
+
+
+def test_unused_name_scan_sees_functions_classes_and_methods(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'def used(): pass\n'
+        'def unused(): pass\n'
+        'def _private(): pass\n'
+        'class Kept:\n'
+        '    def called(self): pass\n'
+        '    def named(self): pass\n'
+        '    def __eq__(self, other): pass\n'
+    )
+    user = tmp_path / "user.py"
+    user.write_text('from probe import used\nKept().called()\nnamed = 1\n')
+    assert unused_public_names([probe], [user]) == [("probe.py", "unused"), ("probe.py", "named")]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """Each public function, class and method of the package is used by
+    the package itself, scripts/ or perfbench/; a name that only tests
+    reach is surface to delete, not to keep."""
+    users = [path for root in USERS for path in sorted(root.glob("*.py"))]
+    assert unused_public_names(sorted(PACKAGE.glob("*.py")), users) == []
+
+
 # install perfbench's tracer over the package, then run one check that
 # completes a rewrite system; prints the status, the completion calls
 # the tracer counted and the rules it saw

@@ -5,6 +5,8 @@ word means splitting n-1 coproducts, and for short words every summand
 can be written out on paper.
 """
 
+import re
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jqsphere import scalars as sc
+from jqsphere.catalog import default_catalog_dir
 from jqsphere.checks import run_check
+from jqsphere.cli import main
 from jqsphere.hopf import GenMorphism, HopfStructure
 from jqsphere.jordanian import SIDES, build_catalog
 from jqsphere.ncalg import FreePoly
@@ -134,12 +138,13 @@ def test_cache_is_transparent():
     DP.T.pair(a, u)
     assert DP._memo and DP.T._memo
     assert DP._contracted and DP.T._contracted
-    DP.clear_cache()
-    assert not DP._memo
-    assert not DP.T._memo
-    assert not DP._contracted
-    assert not DP.T._contracted
-    assert DP.pair(u, a) == first
+    # the memos live as long as the pairing: a new one starts them empty
+    fresh = DualPairing(CAT.hopf("uh"), CAT.hopf("funh"), DP.base)
+    assert not fresh._memo
+    assert not fresh.T._memo
+    assert not fresh._contracted
+    assert not fresh.T._contracted
+    assert fresh.pair(u, a) == first
 
 
 def reference_pairing(dp):
@@ -325,12 +330,12 @@ def test_invariance_products_act_on_each_product_as_a_whole():
 def test_duality_axioms_apply_each_morphism_once_per_word(monkeypatch):
     # each coproduct, antipode and counit is applied once per word, not
     # once per loop iteration or recursion step (8,126 times in all)
+    cat = build_catalog()
+    dp = cat.pairing()
     calls = []
     apply = GenMorphism.__call__
     monkeypatch.setattr(GenMorphism, "__call__", lambda m, p: calls.append(m) or apply(m, p))
-    dp = CAT.pairing()
-    dp.clear_cache()
-    assert run_check(CAT, "duality-axioms").status == "pass"
+    assert run_check(cat, "duality-axioms").status == "pass"
     assert len(calls) <= 300
     # hoisting changes how often a value is asked for, not which values
     assert (len(dp._memo), len(dp.T._memo)) == (1600, 1025)
@@ -346,7 +351,9 @@ def test_duality_axioms_multiply_only_terms_that_can_be_nonzero(bindings, bound,
     # 38,451, so the bounds leave about 40 % headroom and still catch that
     cat = build_catalog(bindings=bindings)
     assert run_check(cat, "duality-axioms").status == "pass"
-    cat.pairing().clear_cache()
+    # count from empty pairing memos over the catalog's warm morphisms
+    fresh = DualPairing(cat.hopf("uh"), cat.hopf("funh"), cat.pairing().base)
+    monkeypatch.setattr(cat, "pairing", lambda: fresh)
     calls = []
     mul = sc.Scalar.__mul__
     monkeypatch.setattr(sc.Scalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
@@ -357,12 +364,21 @@ def test_duality_axioms_multiply_only_terms_that_can_be_nonzero(bindings, bound,
 # -- construction validation ---------------------------------------------
 
 
-def test_base_table_must_be_total():
-    spec = CAT.data.pairings["jordanian_duality"]
-    partial = dict(spec.table)
-    partial.pop(("H", "d"))
-    with pytest.raises(ValueError, match="base table misses"):
-        DualPairing(CAT.hopf("uh"), CAT.hopf("funh"), partial)
+def test_unlisted_generator_pairs_are_zero(tmp_path, capsys):
+    # the catalog format says pairs not listed are 0: the packaged table
+    # without its seven zero lines gives the same reports, timing aside
+    data = tmp_path / "data"
+    shutil.copytree(default_catalog_dir(), data)
+    maps = data / "maps.cat"
+    text, count = re.subn(r"^pair \S+ \S+ -> 0\n", "", maps.read_text(), flags=re.M)
+    assert count == 7
+    maps.write_text(text)
+
+    def reports(*argv):
+        assert main(["--format", "json", *argv]) == 0
+        return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+
+    assert reports("--catalog", str(data)) == reports()
 
 
 def test_letterwise_coproducts_required():
