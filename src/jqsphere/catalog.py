@@ -27,15 +27,21 @@ an item: a keyword, then its text.  The kinds and their items are
       fun ALG                   required; the second factor
       pair UGEN AGEN -> EXPR    repeats; a scalar, pairs not listed are 0
 
-A keyword that does not repeat may still appear twice; the later line
-wins.  EXPR is the syntax of jqsphere.exprparse; '@' builds tensors and
-is allowed only in the images of a morphism with an ALG @ ALG target.
+A keyword that does not repeat may appear once in its block; a second
+line with it is refused.  A repeating keyword may not repeat its key:
+a second param line for one parameter, map line for one generator,
+entry line for one ROW COL or pair line for one UGEN AGEN is refused at
+that line, as "duplicate param for P", "duplicate image for G",
+"duplicate entry ROW COL" or "duplicate pair for UGEN AGEN".
+
+EXPR is the syntax of jqsphere.exprparse; '@' builds tensors and is
+allowed only in the images of a morphism with an ALG @ ALG target.
 Items are read in file order, but relation, map, entry and pair lines
 only after the rest of their block; algebra blocks are built first, so
-any block can refer to an algebra in any file.  The generator order is what the rewrite systems
-downstream use.  All expressions stay fully symbolic here; parameter
-bindings are applied by whoever builds structures out of the parsed
-data.
+any block can refer to an algebra in any file.  The generator order is
+what the rewrite systems downstream use.  All expressions stay fully
+symbolic here; parameter bindings are applied by whoever builds
+structures out of the parsed data.
 """
 
 from __future__ import annotations
@@ -269,9 +275,11 @@ def _read_parity(item, _):
     return item.rest
 
 
-def _read_param(item, _):
+def _read_param(item, fields):
     name, value = item.split("->", "'->'")
     item.param_names((name,))
+    if name in dict(fields["param"]):
+        item.fail(f"duplicate param for {name}")
     return name, value.parse()
 
 
@@ -372,6 +380,8 @@ def _build_matrix(block, data):
         rc = tuple(head.split())
         if len(rc) != 2 or rc[0] not in labels or rc[1] not in labels:
             item.fail("entry needs a valid 'ROW COL' pair")
+        if rc in entries:
+            item.fail(f"duplicate entry {rc[0]} {rc[1]}")
         entries[rc] = expr.element(algebra, gmap, "matrix entries")
     for r in labels:
         for c in labels:
@@ -407,7 +417,10 @@ def _build_pairing(block, data):
         names = lhs.split()
         if len(names) != 2:
             item.fail("pair needs 'UGEN AGEN -> value'")
-        table[(item.gen(env, names[0]), item.gen(fun, names[1]))] = rhs.parse()
+        key = (item.gen(env, names[0]), item.gen(fun, names[1]))
+        if key in table:
+            item.fail(f"duplicate pair for {key[0]} {key[1]}")
+        table[key] = rhs.parse()
     return PairingSpec(block.name, env, fun, table, block.path, block.line)
 
 

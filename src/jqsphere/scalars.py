@@ -6,35 +6,44 @@ rhoprime, beta, betaprime, s).  Equality is structural, zero tests are
 decidable, and nothing is ever evaluated in floating point.  Only the
 standard library is used.
 
-Almost every coefficient the checks meet is a polynomial: completed
-rules, coproducts and matrix entries all live in Q[h, ..., s].  True
-denominators come only from a few verbatim elements (k/rho, 1/(2h)) and
-from user bindings such as k=1/rho.  So a Scalar is polynomial-first and
-holds exactly one canonical payload:
+Almost every coefficient the checks meet is a polynomial with integer
+coefficients, or one over a small integer such as the 2 of (h/2) or the
+8 of (3/8)*h^4.  True denominators come only from a few verbatim
+elements (k/rho, 1/(2h)) and from user bindings such as k=1/rho.  So
+every coefficient in a payload is a Python int, and a Scalar holds
+exactly one canonical payload:
 
 - a polynomial: a dict from an exponent tuple, one entry per parameter
-  in PARAM_NAMES order, to a nonzero coefficient: an int, or a Fraction
-  when it is not an integer.  Zero is the empty dict.
-- a fraction, only when the denominator is not a constant: a tuple
-  (num, den) of two such dicts whose coefficients are all ints, jointly
-  primitive (the gcd of all their coefficients is 1), coprime as
-  polynomials, with the lex-leading coefficient of den positive.
+  in PARAM_NAMES order, to a nonzero int.  Zero is the empty dict.
+- a fraction: a tuple (num, den) whose num is such a dict, not empty,
+  and whose den is either an int greater than 1 or a non-constant
+  polynomial with a positive lex-leading coefficient.  num and den are
+  coprime in Z[h, ..., s]: no polynomial divides both, and the gcd of
+  all their coefficients together is 1.  So h/2 is ({h: 1}, 2).
 
 These are the numerator and denominator that the usual cancellation
 over Z keeps, so height() and term_count() measure the reduced fraction.
+Fraction appears only where values enter (ensure_scalar) and leave
+(render, height).
 
 Two polynomials add and multiply term by term, with no gcd, monomials
-multiplying by an 8-wide tuple add; x - y is x + (-y).  Division by a
-constant divides the coefficients.  Any other division, and any
-operation with a fraction operand, builds a numerator and denominator
-and reduces them with _fraction: it clears rational coefficients and
-divides out the common monomial and integer content, which is the whole
-gcd when either side is a single term (the rho of k/rho).  Only when
-both sides still have several terms does it run a multivariate gcd: the
+multiplying by an 8-wide tuple add; x - y is x + (-y).  Fractions
+cancel by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), which needs
+gcds only of operands that are already reduced:
+
+- n1/d1 * n2/d2 divides out g1 = gcd(n1, d2) and g2 = gcd(n2, d1), and
+  (n1/g1)(n2/g2) / (d1/g2)(d2/g1) is reduced;
+- n1/d1 + n2/d2, with g = gcd(d1, d2) and t = n1(d2/g) + n2(d1/g),
+  divides out only gcd(t, g): t is coprime to d1/g and to d2/g;
+- p + n/d is (n + p*d)/d, reduced with no gcd at all;
+- x/y is x times the reciprocal of y, which is reduced as it stands.
+
+A gcd with an integer denominator is math.gcd over the coefficients.
+Two polynomial operands of several terms take a multivariate gcd: the
 heuristic gcd, with a recursive primitive PRS in the parameter of least
 degree when the heuristic gives up, its result checked by exact
-division.  A constant denominator left over divides the numerator, so
-k/rho * rho is the polynomial k.
+division.  A denominator that cancels to a constant becomes an int, and
+one that cancels to 1 leaves a polynomial, so k/rho * rho is k.
 Because every value has one payload, ==, hash and render need no
 special cases.
 
@@ -44,7 +53,9 @@ returns the zero operand and a product with the constant one returns
 the other factor: payloads are never mutated, so sharing them is safe.
 Two single terms multiply into one term and add into one term, two, or
 zero when they cancel; a single term times a polynomial scales its
-terms.  Only this module reads or wraps a payload.
+terms.  With integer denominators, a single term times a single term
+cancels one integer gcd, and two fractions over the same denominator
+add their numerators.  Only this module reads or wraps a payload.
 
 This module pins the parameter order, the canonical rendering, and the
 substitution semantics for the rest of the package.
@@ -54,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import DenominatorVanishes, DivisionByZero
 
@@ -68,9 +79,9 @@ class Scalar:
     """An element of the parameter field; see the module doc.
 
     _v is the canonical payload: a polynomial dict, or a (num, den)
-    tuple of them whose denominator is not constant.  Payloads are never
-    mutated, so scalars may share them, and an operation may return one
-    of its operands.
+    tuple whose den is an int above 1 or a non-constant polynomial.
+    Payloads are never mutated, so scalars may share them, and an
+    operation may return one of its operands.
     """
 
     __slots__ = ("_v",)
@@ -92,7 +103,7 @@ class Scalar:
         # a power of a reduced fraction is reduced, its denominator's
         # lex-leading coefficient stays positive
         num, den = v
-        return Scalar((_pow(num, n), _pow(den, n)))
+        return Scalar((_pow(num, n), den**n if type(den) is int else _pow(den, n)))
 
     def __eq__(self, other):
         other = _operand(other)
@@ -106,7 +117,9 @@ class Scalar:
         if type(v) is dict:
             return hash(frozenset(v.items()))
         num, den = v
-        return hash((frozenset(num.items()), frozenset(den.items())))
+        if type(den) is dict:
+            den = frozenset(den.items())
+        return hash((frozenset(num.items()), den))
 
     def __bool__(self):
         return bool(self._v)
@@ -146,10 +159,9 @@ def _operators(op):
 
 # -- polynomial payloads ------------------------------------------------
 #
-# Each helper takes and returns polynomial dicts and never mutates its
-# arguments.  Coefficients of a product or sum are dropped when they
-# cancel, so no result holds a zero coefficient, and an integral
-# Fraction becomes an int, which keeps later arithmetic on ints.
+# Each helper takes and returns integer polynomial dicts and never
+# mutates its arguments.  Coefficients of a sum are dropped when they
+# cancel, so no result holds a zero coefficient.
 
 
 def _neg(p):
@@ -173,12 +185,10 @@ def _padd(a, b):
             out[m] = c
         else:
             c0 += c
-            if not c0:
-                del out[m]
-            elif type(c0) is int:
+            if c0:
                 out[m] = c0
             else:
-                out[m] = _rational(c0)
+                del out[m]
     return out
 
 
@@ -192,32 +202,52 @@ def _pmul(a, b):
             m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7)
             c = get(m)
             out[m] = ca * cb if c is None else c + ca * cb
-    return _integral_coefficients({m: c for m, c in out.items() if c})
+    return {m: c for m, c in out.items() if c}
 
 
 def _mul_term(p, mono, coeff):
     """p times the single term coeff*mono."""
     b0, b1, b2, b3, b4, b5, b6, b7 = mono
-    return _integral_coefficients(
-        {
-            (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7): c * coeff
-            for (a0, a1, a2, a3, a4, a5, a6, a7), c in p.items()
-        }
-    )
+    return {
+        (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7): c * coeff
+        for (a0, a1, a2, a3, a4, a5, a6, a7), c in p.items()
+    }
 
 
-def _rational(c):
-    """A nonzero rational as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
+def _sum(a, b):
+    """a + b, two single terms combined without the general sum."""
+    if len(a) == 1 == len(b):
+        [(ma, ca)], [(mb, cb)] = a.items(), b.items()
+        if ma != mb:
+            return {ma: ca, mb: cb}
+        c = ca + cb
+        return {ma: c} if c else {}
+    return _padd(a, b)
 
 
-def _integral_coefficients(p):
-    """A freshly built polynomial with its integral Fraction coefficients
-    replaced by ints, in place."""
-    for m, c in p.items():
-        if type(c) is not int and c.denominator == 1:
-            p[m] = c.numerator
-    return p
+def _product(a, b):
+    """a * b, a single-term factor scaling the other's terms."""
+    if len(a) == 1:
+        [(m, c)] = a.items()
+        return _mul_term(b, m, c)
+    if len(b) == 1:
+        [(m, c)] = b.items()
+        return _mul_term(a, m, c)
+    return _pmul(a, b)
+
+
+def _scale(p, c):
+    """p times the nonzero int c."""
+    if c == 1:
+        return p
+    return {m: v * c for m, v in p.items()}
+
+
+def _divided(p, c):
+    """p divided exactly by the nonzero int c."""
+    if c == 1:
+        return p
+    return {m: v // c for m, v in p.items()}
 
 
 def _pow(p, n):
@@ -234,15 +264,6 @@ def _pow(p, n):
         p = _pmul(p, p)
 
 
-def _ratio(p, q):
-    """p/q for rationals, an int when it is one."""
-    return _rational(Fraction(p, q))
-
-
-def _divide_by_constant(p, c):
-    return {m: _ratio(v, c) for m, v in p.items()}
-
-
 def _constant(p):
     """The coefficient of a constant polynomial, else None."""
     if len(p) == 1:
@@ -252,19 +273,7 @@ def _constant(p):
     return None
 
 
-# -- fraction reduction -------------------------------------------------
-
-
-def _clear_denominators(num, den):
-    """num and den scaled by one rational so that every coefficient is
-    an int."""
-    coeffs = list(chain(num.values(), den.values()))
-    if all(type(c) is int for c in coeffs):
-        return num, den
-    mult = lcm(*(c.denominator for c in coeffs))
-    num = {m: c.numerator * (mult // c.denominator) for m, c in num.items()}
-    den = {m: c.numerator * (mult // c.denominator) for m, c in den.items()}
-    return num, den
+# -- gcds -----------------------------------------------------------------
 
 
 def _divide_by_term(p, mono, c):
@@ -291,6 +300,9 @@ def _exquo(a, b):
 
 def _quo(a, b):
     """a/b for a divisor b of a that a gcd computation found."""
+    if len(b) == 1:
+        [(mono, c)] = b.items()
+        return _divide_by_term(a, mono, c)
     q = _exquo(a, b)
     if q is None:
         raise ArithmeticError("a computed gcd does not divide its operand")
@@ -325,17 +337,16 @@ def _heuristic_gcd(a, b, i):
     balanced base-x digits, and keep the candidate's primitive part when
     it divides both, which makes it the gcd.  None after six points."""
     c = gcd(*a.values(), *b.values())
-    a = {m: v // c for m, v in a.items()}
-    b = {m: v // c for m, v in b.items()}
+    a = _divided(a, c)
+    b = _divided(b, c)
     x = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(6):
         ea, eb = _evaluate(a, i, x), _evaluate(b, i, x)
         if ea and eb:
             g = _interpolate(_gcd(ea, eb), i, x)
-            content = gcd(*g.values())
-            g = {m: v // content for m, v in g.items()}
+            g = _divided(g, gcd(*g.values()))
             if _exquo(a, g) is not None and _exquo(b, g) is not None:
-                return {m: v * c for m, v in g.items()}
+                return _scale(g, c)
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     return None
 
@@ -414,37 +425,90 @@ def _prem(a, b, i):
     return a
 
 
+# -- numerators and denominators -----------------------------------------
+#
+# A denominator is an int or a polynomial dict, and so is a gcd of one;
+# a numerator is a polynomial dict.  These helpers take either kind.
+
+
+def _zgcd(a, b):
+    """A gcd in Z[h, ..., s] of a numerator or denominator a and a
+    denominator b: a positive int when it is a constant."""
+    if type(b) is int:
+        return gcd(b, a) if type(a) is int else gcd(b, *a.values())
+    if type(a) is int:
+        return gcd(a, *b.values())
+    g = _gcd(a, b)
+    c = _constant(g)
+    return g if c is None else abs(c)
+
+
+def _zquo(a, g):
+    """a divided exactly by a gcd g of it."""
+    if type(g) is int:
+        return a // g if type(a) is int else _divided(a, g)
+    return _quo(a, g)
+
+
+def _zmul(a, b):
+    """The product of two numerators or denominators."""
+    if type(a) is int:
+        a, b = b, a
+    if type(b) is int:
+        return a * b if type(a) is int else _scale(a, b)
+    return _product(a, b)
+
+
 def _fraction(num, den):
-    """The scalar num/den of two polynomial payloads, den nonzero, in
-    canonical form."""
-    if not num:
+    """The scalar num/den of a nonzero integer polynomial num and a
+    numerator or denominator den coprime to it, with the denominator
+    made canonical: a constant becomes a positive int, 1 leaves a
+    polynomial, and a polynomial's lex-leading coefficient is made
+    positive."""
+    if type(den) is dict:
+        c = _constant(den)
+        if c is None:
+            if den[max(den)] < 0:
+                num, den = _neg(num), _neg(den)
+            return Scalar((num, den))
+        den = c
+    if den < 0:
+        num, den = _neg(num), -den
+    return Scalar(num if den == 1 else (num, den))
+
+
+def _mul_fractions(n1, d1, n2, d2):
+    """n1/d1 * n2/d2 for two reduced fractions, by Henrici's method."""
+    g1, g2 = _zgcd(n1, d2), _zgcd(n2, d1)
+    num = _zmul(_zquo(n1, g1), _zquo(n2, g2))
+    return _fraction(num, _zmul(_zquo(d1, g2), _zquo(d2, g1)))
+
+
+def _add_fractions(n1, d1, n2, d2):
+    """n1/d1 + n2/d2 for two reduced fractions, by Henrici's method."""
+    g = _zgcd(d1, d2)
+    e1, e2 = _zquo(d1, g), _zquo(d2, g)
+    t = _sum(_zmul(n1, e2), _zmul(n2, e1))
+    if not t:
         return ZERO
-    c = _constant(den)
-    if c is not None:
-        return Scalar(_divide_by_constant(num, c))
-    num, den = _clear_denominators(num, den)
-    # the common monomial and integer content: the whole gcd when either
-    # side is a single term
-    mono = tuple(map(min, *num, *den))
-    c = gcd(*num.values(), *den.values())
-    if c != 1 or any(mono):
-        num, den = _divide_by_term(num, mono, c), _divide_by_term(den, mono, c)
-    if len(num) > 1 and len(den) > 1:
-        g = _gcd(num, den)
-        if _constant(g) is None:
-            num, den = _quo(num, g), _quo(den, g)
-    c = _constant(den)
-    if c is not None:
-        return Scalar(_divide_by_constant(num, c))
-    if den[max(den)] < 0:
-        num, den = _neg(num), _neg(den)
-    return Scalar((num, den))
+    g = _zgcd(t, g)
+    return _fraction(_zquo(t, g), _zmul(e1, _zquo(d2, g)))
+
+
+def _reciprocal(v):
+    """The reduced pair (num, den) of 1/v for a nonzero payload v, num
+    an int when it is a constant."""
+    if type(v) is dict:
+        return 1, v
+    num, den = v
+    return den, num
 
 
 # Scalar arithmetic.  Most operands in the checks are zero, the constant
 # one or a single term c*m, so those are combined here directly; the
 # general polynomial helpers run only for two polynomials of several
-# terms, and _fraction only when a fraction is involved.
+# terms, integer denominators cancel with math.gcd, and _fraction ends
+# every operation with a polynomial denominator.
 
 
 def _binomial(ma, ca, mb, cb):
@@ -454,7 +518,7 @@ def _binomial(ma, ca, mb, cb):
     c = ca + cb
     if not c:
         return ZERO
-    return Scalar({ma: c if type(c) is int else _rational(c)})
+    return Scalar({ma: c})
 
 
 def _add(x, y):
@@ -470,10 +534,25 @@ def _add(x, y):
                 return _binomial(ma, ca, mb, cb)
             return Scalar(_padd(a, b))
         a, b = b, a
-    num, den = a
+    n1, d1 = a
     if type(b) is dict:
-        return _fraction(_padd(num, _pmul(b, den)), den)
-    return _fraction(_padd(_pmul(num, b[1]), _pmul(b[0], den)), _pmul(den, b[1]))
+        # n1 + b*d1 is coprime to d1 because n1 is
+        return Scalar((_sum(n1, _scale(b, d1) if type(d1) is int else _product(b, d1)), d1))
+    n2, d2 = b
+    if type(d1) is not int or type(d2) is not int:
+        return _add_fractions(n1, d1, n2, d2)
+    if d1 == d2:
+        t = _sum(n1, n2)
+        g = d1
+    else:
+        g = gcd(d1, d2)
+        t = _sum(_scale(n1, d2 // g), _scale(n2, d1 // g))
+    if not t:
+        return ZERO
+    g2 = gcd(g, *t.values())
+    den = d1 // g * (d2 // g2)
+    t = _divided(t, g2)
+    return Scalar(t if den == 1 else (t, den))
 
 
 def _mul(x, y):
@@ -494,8 +573,7 @@ def _mul(x, y):
                 return x
             (a0, a1, a2, a3, a4, a5, a6, a7), (b0, b1, b2, b3, b4, b5, b6, b7) = ma, mb
             m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7)
-            c = ca * cb
-            return Scalar({m: c if type(c) is int else _rational(c)})
+            return Scalar({m: ca * cb})
     elif type(b) is dict and len(b) == 1:
         [(mb, cb)] = b.items()
         if cb == 1 and mb == _ZERO_MONOM:
@@ -506,24 +584,36 @@ def _mul(x, y):
         if type(b) is dict:
             return Scalar(_pmul(a, b))
         a, b = b, a
-    num, den = a
-    if type(b) is dict:
-        return _fraction(_pmul(num, b), den)
-    return _fraction(_pmul(num, b[0]), _pmul(den, b[1]))
+    n1, d1 = a
+    n2, d2 = (b, 1) if type(b) is dict else b
+    if type(d1) is not int or type(d2) is not int:
+        return _mul_fractions(n1, d1, n2, d2)
+    if len(n1) == 1 == len(n2):
+        [((a0, a1, a2, a3, a4, a5, a6, a7), c1)] = n1.items()
+        [((b0, b1, b2, b3, b4, b5, b6, b7), c2)] = n2.items()
+        m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7)
+        c, den = c1 * c2, d1 * d2
+        g = gcd(c, den)
+        if g != 1:
+            c, den = c // g, den // g
+        return Scalar({m: c} if den == 1 else ({m: c}, den))
+    g1 = 1 if d2 == 1 else gcd(d2, *n1.values())
+    g2 = gcd(d1, *n2.values())
+    num = _product(_divided(n1, g1), _divided(n2, g2))
+    den = d1 // g2 * (d2 // g1)
+    return Scalar(num if den == 1 else (num, den))
 
 
 def _div(x, y):
-    a, b = x._v, y._v
+    b = y._v
     if not b:
         raise DivisionByZero("division by the zero scalar")
-    if type(b) is dict:
-        if type(a) is dict:
-            return _fraction(a, b)
-        return _fraction(a[0], _pmul(a[1], b))
-    num, den = b
-    if type(a) is dict:
-        return _fraction(_pmul(a, den), num)
-    return _fraction(_pmul(a[0], den), _pmul(a[1], num))
+    a = x._v
+    if not a:
+        return x
+    n2, d2 = _reciprocal(b)
+    n1, d1 = (a, 1) if type(a) is dict else a
+    return _mul_fractions(n1, d1, n2, d2)
 
 
 Scalar.__add__, Scalar.__radd__ = _operators(_add)
@@ -550,7 +640,10 @@ def ensure_scalar(value):
     if isinstance(value, int):
         return Scalar({_ZERO_MONOM: int(value)} if value else {})
     if isinstance(value, Fraction):
-        return Scalar({_ZERO_MONOM: _ratio(value, 1)} if value else {})
+        if not value:
+            return Scalar({})
+        num, den = {_ZERO_MONOM: value.numerator}, value.denominator
+        return Scalar(num if den == 1 else (num, den))
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
 
 
@@ -560,35 +653,41 @@ def _primitive(p):
     c = gcd(*p.values())
     if p[max(p)] < 0:
         c = -c
-    return {m: v // c for m, v in p.items()}
+    return _divided(p, c)
 
 
 def common_denominator(values):
-    """The lcm of the denominators of the scalars values, as a
-    polynomial with lex-leading coefficient one: ONE when every value is
-    a polynomial.  Each value times it is a polynomial."""
+    """The lcm of the polynomial denominators of the scalars values,
+    with lex-leading coefficient one: ONE when every value is a
+    polynomial over Q.  Each value times it is a polynomial over Q."""
     den = None
     for x in values:
         v = x._v
-        if type(v) is not dict:
+        if type(v) is not dict and type(v[1]) is dict:
             d = _primitive(v[1])
             den = d if den is None else _pmul(den, _exquo(d, _primitive(_gcd(den, d))))
     if den is None:
         return ONE
-    return Scalar(_divide_by_constant(den, den[max(den)]))
-
-
-def _height(c):
-    """The larger of |numerator| and denominator of a rational."""
-    return max(abs(c.numerator), c.denominator)
+    # den is primitive, so its content shares no factor with its lead
+    lead = den[max(den)]
+    return Scalar(den if lead == 1 else (den, lead))
 
 
 def height(x) -> int:
-    """The largest height among the rational coefficients of x; 0 for
-    the zero scalar."""
+    """The largest height, the larger of |numerator| and denominator,
+    among the rational coefficients of x; 0 for the zero scalar."""
     v = x._v
-    polys = (v,) if type(v) is dict else v
-    return max((_height(c) for p in polys for c in p.values()), default=0)
+    if type(v) is dict:
+        return max(map(abs, v.values()), default=0)
+    num, den = v
+    if type(den) is int:
+        return max(max(abs(c.numerator), c.denominator) for c in _rationals(num, den))
+    return max(map(abs, chain(num.values(), den.values())))
+
+
+def _rationals(num, den):
+    """The rational coefficients of the polynomial num/den, den an int."""
+    return (Fraction(c, den) for c in num.values())
 
 
 def term_count(x) -> int:
@@ -597,16 +696,19 @@ def term_count(x) -> int:
     v = x._v
     if type(v) is dict:
         return len(v)
-    return max(len(v[0]), len(v[1]))
+    num, den = v
+    return len(num) if type(den) is int else max(len(num), len(den))
 
 
-def _eval_poly(poly, repl):
-    """Evaluate a polynomial payload under a partial assignment
-    {parameter index: Scalar}, keeping unassigned parameters."""
+def _eval_poly(poly, repl, den=1):
+    """Evaluate a polynomial payload over the int den under a partial
+    assignment {parameter index: Scalar}, keeping unassigned
+    parameters."""
     total = ZERO
     for monom, coeff in poly.items():
         kept = tuple(0 if i in repl else e for i, e in enumerate(monom))
-        term = Scalar({kept: coeff})
+        g = gcd(coeff, den)
+        term = Scalar({kept: coeff // g} if g == den else ({kept: coeff // g}, den // g))
         for i, base in repl.items():
             e = monom[i]
             if e:
@@ -631,8 +733,11 @@ def substitute(x, bindings):
     v = x._v
     if type(v) is dict:
         return _eval_poly(v, repl)
-    num = _eval_poly(v[0], repl)
-    den = _eval_poly(v[1], repl)
+    num, den = v
+    if type(den) is int:
+        return _eval_poly(num, repl, den)
+    num = _eval_poly(num, repl)
+    den = _eval_poly(den, repl)
     if not den:
         raise DenominatorVanishes(f"denominator {render(x)} vanishes under substitution")
     return num / den
@@ -680,15 +785,17 @@ def leading_sign(x) -> int:
         return 0
     if type(v) is dict:
         return 1 if _lead(v) > 0 else -1
-    sign = 1 if _lead(v[0]) > 0 else -1
-    return sign if _lead(v[1]) > 0 else -sign
+    num, den = v
+    sign = 1 if _lead(num) > 0 else -1
+    return sign if type(den) is int or _lead(den) > 0 else -sign
 
 
 def render(x) -> str:
     """Canonical textual form.
 
-    A polynomial renders as its terms with explicit ^ and *; a fraction
-    as (numerator)/(denominator), the denominator monic (leading
+    A polynomial renders as its terms with explicit ^ and *, a rational
+    coefficient as p/q; a fraction with a polynomial denominator as
+    (numerator)/(denominator), the denominator monic (leading
     coefficient one under graded lex) and the numerator compensating.
     """
     v = x._v
@@ -697,6 +804,8 @@ def render(x) -> str:
     if type(v) is dict:
         return _poly_str(v.items())
     num, den = v
+    if type(den) is int:
+        return _poly_str(zip(num, _rationals(num, den)))
     lead = _lead(den)
     num_terms = [(m, Fraction(c, lead)) for m, c in num.items()]
     den_terms = [(m, Fraction(c, lead)) for m, c in den.items()]

@@ -315,3 +315,34 @@ def test_packaged_data_loads():
         "sphere_iso", "sphere_iso_inverse",
     ):
         assert name in data.morphisms
+
+
+# -- a repeated key is refused at its second line ------------------------
+
+def exits_2_at(tmp_path, capsys, text, position, message):
+    """The CLI refuses the catalog text with exit 2 at LINE:COL."""
+    from jqsphere.cli import main
+
+    bad = tmp_path / "t.cat"
+    bad.write_text(text)
+    assert main(["--catalog", str(bad), "determinant"]) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err == f"error: {bad}:{position}: {message}\n"
+
+
+def test_second_pair_for_one_generator_pair_exits_2(tmp_path, capsys):
+    text = MINI + "pairing pr\n env mini\n fun mini\n pair x y -> h\n pair y x -> 1\n pair x y -> 2*h\n"
+    exits_2_at(tmp_path, capsys, text, "12:7", "duplicate pair for x y")
+
+
+def test_second_entry_for_one_row_and_column_exits_2(tmp_path, capsys):
+    exits_2_at(tmp_path, capsys, MATRIX + "  entry p q: x\n", "14:9", "duplicate entry p q")
+
+
+def test_second_param_image_exits_2(tmp_path, capsys):
+    text = MINI + (
+        "morphism m\n source mini\n target mini\n param h -> 2*h\n param h -> h\n"
+        " map x -> x\n map y -> y\n"
+    )
+    exits_2_at(tmp_path, capsys, text, "11:8", "duplicate param for h")

@@ -269,10 +269,11 @@ def test_invariance_checker_reports_failures():
 
 @pytest.mark.parametrize("check_id", ["invariance-PL", "invariance-PR", "invariance-products"])
 def test_passing_invariance_does_no_fraction_arithmetic(check_id, monkeypatch):
-    # every fraction operation ends in scalars._fraction; polynomial
-    # operations do not.  The elements carry k/rho and kprime/rhoprime,
-    # and clearing them takes one fraction multiplication per fractional
-    # coefficient.
+    # every division and every operation with a polynomial denominator
+    # ends in scalars._fraction; operations on polynomials and over an
+    # integer denominator do not.  The elements carry k/rho and
+    # kprime/rhoprime, and clearing them takes one fraction
+    # multiplication per fractional coefficient.
     calls = []
     fraction = sc._fraction
     monkeypatch.setattr(sc, "_fraction", lambda num, den: calls.append(den) or fraction(num, den))
