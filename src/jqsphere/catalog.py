@@ -32,7 +32,9 @@ line with it is refused.  A repeating keyword may not repeat its key:
 a second param line for one parameter, map line for one generator,
 entry line for one ROW COL or pair line for one UGEN AGEN is refused at
 that line, as "duplicate param for P", "duplicate image for G",
-"duplicate entry ROW COL" or "duplicate pair for UGEN AGEN".
+"duplicate entry ROW COL" or "duplicate pair for UGEN AGEN".  Nor may
+two relations of one algebra share a label, counting the automatic rN
+labels: the second is refused as "duplicate relation label LABEL".
 
 EXPR is the syntax of jqsphere.exprparse; '@' builds tensors and is
 allowed only in the images of a morphism with an ALG @ ALG target.
@@ -305,6 +307,8 @@ def _build_algebra(block, data):
         if label is None:
             counter += 1
             label = f"r{counter}"
+        if label in dict(relations):
+            item.fail(f"duplicate relation label {label}")
         relations.append((label, expr.element(algebra, gmap, "relations", pmap)))
     return Presentation(block.name, algebra, params, relations, block.path, block.line)
 

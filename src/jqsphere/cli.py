@@ -12,11 +12,10 @@ import argparse
 import json
 import sys
 
-from .catalog import load_catalog, default_catalog_dir
 from .checks import describe_checks, resolve_ids, run_check
 from .errors import CatalogParseError, UnknownCheckId
 from .exprparse import parse_scalar
-from .jordanian import Catalog
+from .jordanian import build_catalog
 from .scalars import PARAMS
 
 
@@ -106,10 +105,7 @@ def main(argv=None):
     try:
         plan = resolve_ids(args.checks or "all")
         bindings = _parse_set(args.settings)
-        paths = args.catalog or [default_catalog_dir()]
-        catalog = Catalog(
-            load_catalog(paths), bindings=bindings, max_degree=args.max_degree
-        )
+        catalog = build_catalog(bindings, args.max_degree, args.catalog or None)
         sink = open(args.out, "w") if args.out else sys.stdout
     except (UnknownCheckId, CatalogParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -220,7 +220,7 @@ class Catalog:
         b = self._bound(bindings)
         key = (name, skip, _bkey(b))
         if key not in self._systems:
-            rels = [p for _, p in self.relations(name, b, skip) if not p.is_zero()]
+            rels = [p for _, p in self.relations(name, b, skip)]
             self._systems[key] = complete(self.algebra(name), rels, max_degree=self.max_degree)
         return self._systems[key]
 

@@ -3,17 +3,21 @@
 Relations are oriented into rules lhs -> rhs where lhs is the leading
 word in ncalg's graded-lex order and every rhs word is strictly smaller;
 with that shape a reduction step never raises the degree, so reduction
-terminates on its own.  Completion examines every overlap and inclusion
-ambiguity between rule left sides up to a degree cap and adds the
-oriented residuals that do not already reduce to zero.  The certificate
-is the list of ambiguities examined in the final round, each of which
-resolved.  When none was skipped for degree the system is marked closed:
-the final rule set has the diamond property everywhere, so normal forms
-of arbitrary degree are well defined and unique.
+terminates on its own.  Interreduction adopts relations one at a time
+from a work queue, which empties because grlex is a well-order (see
+interreduce); MAX_REDUCTIONS bounds it anyway, so that a fault ends in
+NonTerminating rather than in unbounded work.  Completion examines every
+overlap and inclusion ambiguity between rule left sides up to a degree
+cap and adds the oriented residuals that do not already reduce to zero.
+The certificate is the list of ambiguities examined in the final round,
+each of which resolved.  When none was skipped for degree the system is
+marked closed: the final rule set has the diamond property everywhere,
+so normal forms of arbitrary degree are well defined and unique.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import scalars as sc
@@ -25,8 +29,9 @@ from .errors import (
 )
 from .ncalg import Algebra, FreePoly, Word, all_words, grlex
 
-# interreduction rounds, and rules a completion may reach, before NonTerminating
-MAX_ROUNDS = 200
+# reductions an interreduction may make, and rules a completion may reach,
+# before NonTerminating
+MAX_REDUCTIONS = 10_000
 MAX_RULES = 128
 
 
@@ -209,48 +214,35 @@ def enumerate_ambiguities(rules):
     return out
 
 
-def _monic(p: FreePoly) -> FreePoly:
-    _, lc = _leading(p)
-    return p.scale(sc.ONE / lc)
-
-
 def interreduce(alg: Algebra, relations) -> list:
-    """Reduce each relation by the others until stable; returns monic
-    rules with pairwise irreducible left sides."""
-    polys = [_monic(p) for p in relations if not p.is_zero()]
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_ROUNDS:
+    """Monic rules with pairwise irreducible left sides and normal right
+    sides, spanning the same ideal as relations.
+
+    One work queue: each relation is reduced by the rules adopted so far
+    and dropped if it reaches zero; otherwise it is oriented and adopted,
+    and every adopted rule whose left side contains the new left side goes
+    back on the queue.  A requeued relation reduces to a smaller leading
+    word, and grlex is a well-order, so the queue empties; MAX_REDUCTIONS
+    caps the reductions all the same.  Right sides are reduced once at the
+    end, when the rule set is final.
+    """
+    queue = deque(relations)
+    rules = {}
+    reductions = 0
+    while queue:
+        reductions += 1
+        if reductions > MAX_REDUCTIONS:
             raise NonTerminating(f"interreduction did not stabilize over {alg.id}")
-        seen = set()
-        unique = []
-        for p in polys:
-            key = frozenset(p.terms.items())
-            if key not in seen:
-                seen.add(key)
-                unique.append(p)
-        polys = unique
-        stable = True
-        for i in range(len(polys)):
-            if polys[i].is_zero():
-                continue
-            others = []
-            taken = set()
-            for j, q in enumerate(polys):
-                if j == i or q.is_zero():
-                    continue
-                rule = orient(q)
-                if rule.lhs not in taken:
-                    taken.add(rule.lhs)
-                    others.append(rule)
-            red = RewriteSystem(alg, others).normal_form(polys[i])
-            if red != polys[i]:
-                stable = False
-                polys[i] = _monic(red) if not red.is_zero() else red
-        polys = [p for p in polys if not p.is_zero()]
-        if stable:
-            return [orient(p) for p in polys]
+        p = RewriteSystem(alg, rules.values()).normal_form(queue.popleft())
+        if p.is_zero():
+            continue
+        rule = orient(p)
+        inside = RewriteSystem(alg, [rule])
+        for lhs in [w for w in rules if not inside.is_normal(w)]:
+            queue.append(rules.pop(lhs).poly())
+        rules[rule.lhs] = rule
+    system = RewriteSystem(alg, rules.values())
+    return [RewriteRule(r.lhs, system.normal_form(r.rhs)) for r in system.rules]
 
 
 def complete(alg: Algebra, relations, max_degree: int = 6) -> RewriteSystem:

@@ -319,11 +319,11 @@ def test_packaged_data_loads():
 
 # -- a repeated key is refused at its second line ------------------------
 
-def exits_2_at(tmp_path, capsys, text, position, message):
+def exits_2_at(tmp_path, capsys, text, position, message, name="t.cat"):
     """The CLI refuses the catalog text with exit 2 at LINE:COL."""
     from jqsphere.cli import main
 
-    bad = tmp_path / "t.cat"
+    bad = tmp_path / name
     bad.write_text(text)
     assert main(["--catalog", str(bad), "determinant"]) == 2
     out = capsys.readouterr()
@@ -346,3 +346,13 @@ def test_second_param_image_exits_2(tmp_path, capsys):
         " map x -> x\n map y -> y\n"
     )
     exits_2_at(tmp_path, capsys, text, "11:8", "duplicate param for h")
+
+
+def test_second_relation_label_exits_2(tmp_path, capsys):
+    # with two det relations, skipping det would drop both from funh
+    text = (default_catalog_dir() / "funh.cat").read_text()
+    assert text.count("relation ab :") == 1
+    text = text.replace("relation ab :", "relation det :")
+    exits_2_at(
+        tmp_path, capsys, text, "16:10", "duplicate relation label det", name="funh.cat"
+    )

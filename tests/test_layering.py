@@ -280,8 +280,8 @@ def test_every_public_name_has_a_user_outside_the_tests():
 
 
 # install perfbench's tracer over the package, then run one check that
-# completes a rewrite system; prints the status, the completion calls
-# the tracer counted and the rules it saw
+# completes a rewrite system; prints the status, the completion and
+# interreduction calls the tracer counted and the rules it saw
 TRACED_CHECK = """
 import sys
 sys.path[:0] = sys.argv[1:]
@@ -296,7 +296,12 @@ duality = checks.run_check(cat, "duality-welldefined")
 tracer.end_root()
 calls, misses, _ = tracer.totals("pairing.pair_words")
 dp = cat.pairing()
-print(report.status, tracer.totals("rewrite.complete")[0], tracer.rules)
+print(
+    report.status,
+    tracer.totals("rewrite.complete")[0],
+    tracer.totals("rewrite.interreduce")[0],
+    tracer.rules,
+)
 print(duality.status, calls, misses, len(dp._memo) + len(dp.T._memo))
 """
 
@@ -318,9 +323,11 @@ def test_the_benchmark_tracer_installs_over_the_package():
     )
     assert out.returncode == 0, out.stderr
     first, second = out.stdout.splitlines()
-    status, completions, rules = first.split()
+    status, completions, interreductions, rules = first.split()
     assert status == "pass"
     assert int(completions) >= 1 and int(rules) > 0
+    # complete() reaches interreduce through the module global perfbench wraps
+    assert int(interreductions) >= 1
     # the recursion goes through the public pair_words, so the traced
     # misses are exactly the entries of the two word-pair memos
     status, calls, misses, memo = second.split()

@@ -230,6 +230,32 @@ def test_interreduce_drops_redundant():
     assert len(rules) == 3
 
 
+# yx enters after x*y*x is adopted, so x*y*x goes back on the queue and
+# comes back as x^2; the right side of y^2 -> x^2 is only reduced at the end
+Q = Algebra("queue", ("x", "y"))
+QX, QY = FreePoly.gen(Q, "x"), FreePoly.gen(Q, "y")
+REQUEUED = [QY * QY - QX * QX, QX * QY * QX - QY, 3 * QY * QX - QX]
+
+
+def test_interreduce_requeues_rules_containing_a_new_left_side():
+    rules = interreduce(Q, REQUEUED)
+    got = {Q.render_word(r.lhs): r.rhs for r in rules}
+    assert got == {"x^2": 3 * QY, "y*x": QX.scale(sc.ONE / 3), "y^2": 3 * QY}
+    system = RewriteSystem(Q, rules)
+    for r in rules:
+        assert r.poly().terms[(r.lhs,)] == sc.ONE
+        assert system.normal_form(r.rhs) == r.rhs
+        others = RewriteSystem(Q, [o for o in rules if o is not r])
+        assert others.is_normal(r.lhs)
+
+
+def test_interreduce_budget(monkeypatch):
+    # four reductions: three relations and one requeue
+    monkeypatch.setattr(rewrite, "MAX_REDUCTIONS", 3)
+    with pytest.raises(NonTerminating, match="interreduction did not stabilize over queue"):
+        interreduce(Q, REQUEUED)
+
+
 def test_enumerate_ambiguities_inclusion():
     A = Algebra("inc", ("x", "y"))
     r1 = orient(FreePoly.from_word(A, word(A, "x", "y", "x")))
